@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import FlatMinimumWarning, MultipleRootsWarning, NoRootError, RangeError
+from .errors import (
+    DegenerateFitWarning,
+    FlatMinimumWarning,
+    MultipleRootsWarning,
+    NoRootError,
+    RangeError,
+)
 from .model import PreparedHamiltonian, critical_energy
 from .normform import equatorial_energy_series, extract_omega2_squared, normalize
 from .polyalg import _bk_orders, _exponents
@@ -177,9 +183,13 @@ def remainder_norm(state, r, N, E, delta_E, beta=0.0) -> float:
 
     Raises
     ------
+    ModeError
+        If the state was normalized under a transverse cap: the norm reads
+        every transverse degree of the remainder.
     RangeError
         On r != state.r, N out of (r, r_trunc], or delta_E outside [0, E).
     """
+    state.require_full("remainder_norm")
     if r != state.r:
         raise RangeError(f"state is normalized to r={state.r}, not r={r}")
     if not r < N <= state.r_trunc:
@@ -254,7 +264,9 @@ def optimal_order_scan(
 
     Returns (RemainderNormTable, AsymptoticFit).  Emits
     FlatMinimumWarning when a minimum sits at the last captured order,
-    i.e. the scan cannot certify it as interior.
+    i.e. the scan cannot certify it as interior.  When fewer than two
+    distinct dE values lie at or below ``fit_max`` the laws cannot be
+    fitted: the fit is None and DegenerateFitWarning is emitted.
     """
     N = profile.N
     table = RemainderNormTable(mode=profile.mode, energy=E, beta=beta, N=N)
@@ -277,6 +289,14 @@ def optimal_order_scan(
         r_opt[float(dE)] = int(best)
         optimal_norms[float(dE)] = float(curve[best])
     fit_dEs = sorted(dE for dE in r_opt if dE <= fit_max)
+    if len(fit_dEs) < 2:
+        warnings.warn(
+            f"{len(fit_dEs)} delta_E value(s) at or below {fit_max:g}; "
+            "the scaling laws need two, fit skipped",
+            DegenerateFitWarning,
+            stacklevel=2,
+        )
+        return table, None
     log_dE = np.log([dE for dE in fit_dEs])
     alpha_slope, alpha_rms = _log_fit(log_dE, np.log([r_opt[dE] for dE in fit_dEs]))
     d_slope, d_rms = _log_fit(

@@ -29,6 +29,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     DEFAULT_DELTA_E_GRID,
+    FIT_DELTA_E_MAX,
     bifurcation_energy,
     capture_remainder_profile,
     chaos_threshold_convergence,
@@ -54,6 +55,11 @@ from .normform import normalize
 from .polyalg import to_records
 
 SCHEMA = "magbottle/1"
+
+#: the resonance locators and the 1:1 threshold read only the equatorial
+#: energy and omega2^2 series, i.e. the terms of transverse degree <= 2,
+#: which a capped normalization reproduces exactly
+SERIES_TRANSVERSE_CAP = 2
 
 #: errors that mean the request was malformed rather than the computation
 #: failing; they map to exit code 2
@@ -175,6 +181,21 @@ def _load_potential(config: RunConfig):
     return parse_potential(Path(config.potential).read_text())
 
 
+def _series_state(spec, r_max, r_trunc):
+    """Nonresonant normalization capped to what the series readers use."""
+    return normalize(
+        complexify_nonresonant(spec),
+        r_max=r_max,
+        r_trunc=r_trunc,
+        transverse_cap=SERIES_TRANSVERSE_CAP,
+    )
+
+
+def _locator(config: RunConfig, spec):
+    """The nonresonant run that resonances are located on."""
+    return _series_state(spec, config.locator_order, config.locator_order + 1)
+
+
 def _prepare(config: RunConfig, spec):
     """Prepared Hamiltonian for the requested mode.
 
@@ -185,12 +206,7 @@ def _prepare(config: RunConfig, spec):
     """
     if config.mode == "nonres":
         return complexify_nonresonant(spec), None
-    locator = normalize(
-        complexify_nonresonant(spec),
-        r_max=config.locator_order,
-        r_trunc=config.locator_order + 1,
-    )
-    bif = bifurcation_energy(locator, config.m1, config.m2)
+    bif = bifurcation_energy(_locator(config, spec), config.m1, config.m2)
     prepared = prepare_resonant(
         spec,
         config.m1,
@@ -313,18 +329,6 @@ def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
     rows = []
     fits = {}
     for E in config.energies:
-        if len(grid) == 1:
-            dE = grid[0]
-            for r in profile.orders:
-                value = profile.norm(r, profile.N, E, dE, config.beta)
-                rows.append(
-                    (prepared.mode, E, config.beta, dE, int(r), profile.N, value)
-                )
-            print(
-                f"single delta-E value at E={E:g}: curve written, fits skipped",
-                file=sys.stderr,
-            )
-            continue
         table, fit = optimal_order_scan(
             profile, E, beta=config.beta, delta_E_grid=grid
         )
@@ -332,6 +336,13 @@ def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
             (prepared.mode, E, config.beta, dE, r, N, value)
             for dE, r, N, value in table.rows
         )
+        if fit is None:
+            print(
+                f"fewer than two delta-E values at or below {FIT_DELTA_E_MAX:g} "
+                f"at E={E:g}: curve written, fits skipped",
+                file=sys.stderr,
+            )
+            continue
         fits[f"{E:g}"] = {
             "alpha": fit.alpha,
             "alpha_rms": fit.alpha_rms,
@@ -359,11 +370,7 @@ def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
 
 def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str):
     spec = _load_potential(config)
-    locator = normalize(
-        complexify_nonresonant(spec),
-        r_max=config.locator_order,
-        r_trunc=config.locator_order + 1,
-    )
+    locator = _locator(config, spec)
     results = []
     for m1, m2 in config.pairs:
         bif = bifurcation_energy(locator, m1, m2)
@@ -383,11 +390,7 @@ def cmd_chaos_threshold(config: RunConfig, out: Path, config_hash: str):
     if config.numeric:
         reference = numerical_bifurcation_energy(1, 1, potential=spec)
         payload["numeric_E_t"] = reference
-    state = normalize(
-        complexify_nonresonant(spec),
-        r_max=config.order_max,
-        r_trunc=max(config.order_max, 1),
-    )
+    state = _series_state(spec, config.order_max, max(config.order_max, 1))
     table = chaos_threshold_convergence(
         state, range(config.order_min, config.order_max + 1), reference_energy=reference
     )

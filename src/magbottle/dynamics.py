@@ -21,7 +21,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import EscapeDetected, NoBifurcationInRange, SeedOutsideCZVError
+from .errors import (
+    EscapeDetected,
+    IncompleteSectionError,
+    NoBifurcationInRange,
+    SeedOutsideCZVError,
+)
 from .model import PotentialSpec, build_builtin_model, critical_energy
 
 __all__ = [
@@ -45,6 +50,11 @@ ESCAPE_BOUND = 20.0
 DEFAULT_TOL = 1e-12
 _RTOL_FACTOR = 0.1
 _ATOL_FACTOR = 1e-3
+
+#: integration time budgeted per section crossing; one in-plane revolution
+#: takes a few time units, and a section seed gets
+#: SECTION_TIME_PER_CROSSING * (n_crossings + 2)
+SECTION_TIME_PER_CROSSING = 12.0
 
 
 @dataclass(frozen=True)
@@ -245,6 +255,10 @@ def poincare_section(
         For seeds outside the accessible section domain.
     EscapeDetected
         Propagated from the underlying integration.
+    IncompleteSectionError
+        If a seed's time budget, ``SECTION_TIME_PER_CROSSING`` per crossing,
+        runs out before ``n_crossings`` crossings (slow orbits near the
+        escape energy).
     """
     V = build_builtin_model() if potential is None else potential
     rhs = _rhs_factory(V)
@@ -258,8 +272,7 @@ def poincare_section(
         crossing.terminal = False
         crossing.direction = 1.0
         events = _escape_events(escape_bound) + [crossing]
-        # one in-plane revolution takes a few time units; budget generously
-        t_max = 12.0 * (n_crossings + 2)
+        t_max = SECTION_TIME_PER_CROSSING * (n_crossings + 2)
         sol = solve_ivp(
             rhs,
             (0.0, t_max),
@@ -274,6 +287,10 @@ def poincare_section(
             times = np.concatenate([t for t in sol.t_events[:2] if t.size])
             t_esc = float(times.min())
             raise EscapeDetected(t_esc, tuple(float(v) for v in sol.sol(t_esc)))
+        if sol.t_events[2].size < n_crossings:
+            raise IncompleteSectionError(
+                index, sol.t_events[2].size, n_crossings, t_max
+            )
         for t_ev in sol.t_events[2][:n_crossings]:
             y = sol.sol(t_ev)
             # one Newton polish of the crossing time on the interpolant

@@ -96,6 +96,30 @@ class EscapeDetected(MagbottleError):
         self.state = state
 
 
+class IncompleteSectionError(MagbottleError):
+    """A section seed ran out of integration time before its crossings.
+
+    Parameters
+    ----------
+    seed_index : int
+        Position of the seed in the seed list.
+    found, requested : int
+        Crossings recorded and crossings asked for.
+    t_max : float
+        The integration time the seed was given.
+    """
+
+    def __init__(self, seed_index, found, requested, t_max):
+        super().__init__(
+            f"seed {seed_index}: {found} of {requested} section crossings "
+            f"within t_max={t_max:g}"
+        )
+        self.seed_index = seed_index
+        self.found = found
+        self.requested = requested
+        self.t_max = t_max
+
+
 class NoBifurcationInRange(MagbottleError):
     """No bifurcation of the requested resonance in the scanned energy range."""
 
@@ -114,3 +138,12 @@ class MultipleRootsWarning(UserWarning):
 
 class FlatMinimumWarning(UserWarning):
     """The optimal order landed on the boundary of the scanned order range."""
+
+
+class DegenerateFitWarning(UserWarning):
+    """Fewer than two distinct delta-E values lie in the fit window.
+
+    The scaling laws of an optimal-order scan need at least two points;
+    with fewer the fit is skipped rather than solved as a degenerate
+    least-squares problem.
+    """

@@ -152,10 +152,14 @@ def back_transform(state) -> FormalIntegral:
 
     Raises
     ------
+    ModeError
+        If the state was normalized under a transverse cap: the pullback
+        reads every transverse degree of the generators.
     NonRealIntegralError
         If a substituted coefficient keeps an imaginary part above the
         tolerance (a transform defect, not a data problem).
     """
+    state.require_full("back_transform")
     prepared = state.prepared
     if state.mode == "resonant":
         res = prepared.resonance

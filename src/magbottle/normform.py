@@ -85,6 +85,14 @@ class KernelSet:
             raise ValueError("resonance indices must be positive integers")
         return cls("resonant", m1, m2)
 
+    @classmethod
+    def for_prepared(cls, prepared):
+        """The kernel set matching the mode of a prepared Hamiltonian."""
+        if prepared.mode == "nonresonant":
+            return cls.nonresonant()
+        res = prepared.resonance
+        return cls.resonant(res.m1, res.m2)
+
     def mask(self, k1, l1, k2, l2):
         """Vectorized predicate over exponent arrays."""
         if self.variant == "nonresonant":
@@ -114,20 +122,8 @@ def _partition(poly, kernel):
     if poly.nterms == 0:
         return poly, poly
     mask = kernel.mask(*_exponents(poly._keys))
-    inside = CanonicalPolynomial(
-        poly._keys[mask],
-        poly._coeffs[mask],
-        poly.trunc_order,
-        poly.degree_cap,
-        _canonical=True,
-    )
-    outside = CanonicalPolynomial(
-        poly._keys[~mask],
-        poly._coeffs[~mask],
-        poly.trunc_order,
-        poly.degree_cap,
-        _canonical=True,
-    )
+    inside = poly._same_bounds(poly._keys[mask], poly._coeffs[mask])
+    outside = poly._same_bounds(poly._keys[~mask], poly._coeffs[~mask])
     return inside, outside
 
 
@@ -149,7 +145,7 @@ def solve_homological_nonresonant(
         If a k1 = l1 block has a pure-q2 entry above ``BLOCK_TOL``.
     """
     if htilde.nterms == 0:
-        return CanonicalPolynomial.zero(htilde.trunc_order, htilde.degree_cap)
+        return htilde
     keys = htilde._keys
     coeffs = htilde._coeffs
     k1, l1, k2, l2 = _exponents(keys)
@@ -184,7 +180,10 @@ def solve_homological_nonresonant(
             if b[n] != 0.0:
                 out.append(((k, l, n, span - n), b[n], r))
     return CanonicalPolynomial.from_terms(
-        out, trunc_order=htilde.trunc_order, degree_cap=htilde.degree_cap
+        out,
+        trunc_order=htilde.trunc_order,
+        degree_cap=htilde.degree_cap,
+        transverse_cap=htilde.transverse_cap,
     )
 
 
@@ -208,7 +207,7 @@ def solve_homological_resonant(
         offending exponent key.
     """
     if htilde.nterms == 0:
-        return CanonicalPolynomial.zero(htilde.trunc_order, htilde.degree_cap)
+        return htilde
     k1, l1, k2, l2 = _exponents(htilde._keys)
     dk1 = k1.astype(np.int64) - l1
     dk2 = k2.astype(np.int64) - l2
@@ -222,13 +221,7 @@ def solve_homological_resonant(
         i = int(np.argmax(small))
         key = (int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i]))
         raise SmallDivisorError(key, float(divisor[i]), divisor_floor)
-    return CanonicalPolynomial(
-        htilde._keys.copy(),
-        htilde._coeffs / (1j * divisor),
-        htilde.trunc_order,
-        htilde.degree_cap,
-        _canonical=True,
-    )
+    return htilde._same_bounds(htilde._keys.copy(), htilde._coeffs / (1j * divisor))
 
 
 @dataclass
@@ -239,6 +232,9 @@ class NormalizationState:
     ``r_trunc``; orders 0..r form the normal form and orders r+1..r_trunc
     the remainder.  ``residuals`` holds per-step pairs (infinity norm of
     ``{Z_0, chi_r} + Htilde_r``, infinity norm of ``Htilde_r``).
+    ``transverse_cap`` is the Hamiltonian's cap on k2 + l2 (None for a
+    full run); a capped state holds only the terms up to that transverse
+    degree, in the Hamiltonian and in the generators.
     """
 
     prepared: PreparedHamiltonian
@@ -249,15 +245,27 @@ class NormalizationState:
     residuals: list = field(default_factory=list)
 
     @property
+    def transverse_cap(self):
+        return self.hamiltonian.transverse_cap
+
+    @property
     def mode(self):
         return self.prepared.mode
 
     @property
     def kernel(self):
-        if self.mode == "nonresonant":
-            return KernelSet.nonresonant()
-        res = self.prepared.resonance
-        return KernelSet.resonant(res.m1, res.m2)
+        return KernelSet.for_prepared(self.prepared)
+
+    def require_full(self, consumer):
+        """Raise ModeError if the state was normalized under a transverse cap.
+
+        ``consumer`` names the operation that reads every transverse degree.
+        """
+        if self.transverse_cap is not None:
+            raise ModeError(
+                f"{consumer} reads every transverse degree, but the state was "
+                f"normalized with transverse_cap={self.transverse_cap}"
+            )
 
     @property
     def Z(self):
@@ -281,6 +289,7 @@ def normalize(
     r_trunc: int = DEFAULT_TRUNC,
     step_callback=None,
     divisor_floor: float = DIVISOR_FLOOR,
+    transverse_cap: int | None = None,
 ) -> NormalizationState:
     """Run ``r_max`` normalization steps, truncating at order ``r_trunc``.
 
@@ -288,6 +297,15 @@ def normalize(
     the transform cancels the non-kernel terms only to rounding, and the
     leftover dust would otherwise pollute the normal form.  The per-step
     cancellation quality is recorded in ``state.residuals``.
+
+    ``transverse_cap`` drops every term of transverse degree k2 + l2 above
+    the cap from the working Hamiltonian and the generators.  The terms up
+    to the cap come out exactly as in the full run, because in the
+    admissible models, where every term has even transverse degree, a higher
+    transverse degree never feeds a lower one (see :mod:`polyalg`), so a
+    cap of 2 serves every reader of the equatorial energy and omega2^2
+    series at a fraction of the cost.  Readers of the whole polynomial
+    (the back-transform, the remainder norm) refuse a capped state.
 
     ``step_callback(r, hamiltonian)``, when given, observes the working
     Hamiltonian after each step; it must not mutate it.
@@ -303,12 +321,8 @@ def normalize(
         raise OrderOverflowError(
             f"normalization order {r_max} exceeds truncation order {r_trunc}"
         )
-    if prepared.mode == "nonresonant":
-        kernel = KernelSet.nonresonant()
-    else:
-        res = prepared.resonance
-        kernel = KernelSet.resonant(res.m1, res.m2)
-    ham = prepared.poly.copy(trunc_order=r_trunc)
+    kernel = KernelSet.for_prepared(prepared)
+    ham = prepared.poly.copy(trunc_order=r_trunc, transverse_cap=transverse_cap)
     z0 = ham.bk_part(0)
     state = NormalizationState(
         prepared=prepared, r=0, r_trunc=r_trunc, hamiltonian=ham
@@ -334,7 +348,7 @@ def normalize(
             # replace the order-r slice with its exact kernel part
             ham = ham.restrict_bk(0, r - 1) + inside + ham.restrict_bk(r + 1, r_trunc)
         else:
-            chi = CanonicalPolynomial.zero(r_trunc, ham.degree_cap)
+            chi = CanonicalPolynomial.zero(r_trunc, ham.degree_cap, transverse_cap)
             state.residuals.append((0.0, 0.0))
         state.generators.append(chi)
         state.r = r

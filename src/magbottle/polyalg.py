@@ -15,6 +15,21 @@ add the orders of their factors, and any term whose order exceeds
 discarded. Coefficients with magnitude at or below :data:`PRUNE_TOL` are
 dropped after every arithmetic operation.
 
+An optional ``transverse_cap`` also discards every term whose transverse
+degree k2 + l2, its degree in the pair (q2, p2), exceeds the cap; ``None``
+keeps every transverse degree. The cap is exact for outputs that read only
+transverse degrees up to it, provided no term of higher transverse degree
+can feed one of lower degree. That holds in the normalization of the
+magnetic-bottle models: every term has even transverse degree, a bracket
+with an even-degree factor never lowers it, and the homological solvers
+act within one transverse degree. Binary operations keep the smaller of the
+two caps of each kind.
+
+A product adds the 8-bit exponent fields of its factors. When the degrees of
+the two factors sum past 255 a field could carry into its neighbour, so such
+products first drop every pair of terms whose true degree exceeds
+``degree_cap``; the pairs that are kept fit their fields.
+
 The Poisson bracket follows the convention
 
     {f, g} = sum_j (df/dq_j dg/dp_j - df/dp_j dg/dq_j),
@@ -90,8 +105,17 @@ def _bk_orders(keys):
     return keys >> _BK_SHIFT
 
 
-def _canonicalize(keys, coeffs, trunc_order, degree_cap):
+def _transverse_degrees(keys):
+    return ((keys >> _SHIFTS[2]) & _FIELD) + ((keys >> _SHIFTS[3]) & _FIELD)
+
+
+def _canonicalize(keys, coeffs, trunc_order, degree_cap, transverse_cap=None):
     """Sort, merge duplicates, and prune. Returns new (keys, coeffs)."""
+    if transverse_cap is not None and keys.size:
+        # dropping before the sort is exact: each key is kept or not on its own
+        keep = _transverse_degrees(keys) <= transverse_cap
+        if not keep.all():
+            keys, coeffs = keys[keep], coeffs[keep]
     if keys.size == 0:
         return keys.astype(np.int64), coeffs.astype(np.complex128)
     uniq, inverse = np.unique(keys, return_inverse=True)
@@ -119,38 +143,55 @@ class CanonicalPolynomial:
     degree_cap : int, optional
         Hard cap on the polynomial degree of retained terms. Defaults to
         ``2*trunc_order + 2``, the degree reached by the non-resonant grading.
+    transverse_cap : int, optional
+        Cap on the transverse degree k2 + l2 of retained terms. Defaults to
+        None, no cap.
     """
 
-    __slots__ = ("_keys", "_coeffs", "trunc_order", "degree_cap")
+    __slots__ = ("_keys", "_coeffs", "trunc_order", "degree_cap", "transverse_cap")
 
-    def __init__(self, keys, coeffs, trunc_order, degree_cap=None, _canonical=False):
+    def __init__(
+        self,
+        keys,
+        coeffs,
+        trunc_order,
+        degree_cap=None,
+        transverse_cap=None,
+        _canonical=False,
+    ):
         if degree_cap is None:
             degree_cap = min(2 * trunc_order + 2, 2 * _MAX_EXPONENT)
         if degree_cap > 2 * _MAX_EXPONENT:
             raise ValueError(f"degree_cap {degree_cap} exceeds packing headroom")
+        if transverse_cap is not None and transverse_cap < 0:
+            raise ValueError(f"negative transverse_cap {transverse_cap}")
         keys = np.asarray(keys, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if not _canonical:
-            keys, coeffs = _canonicalize(keys, coeffs, trunc_order, degree_cap)
+            keys, coeffs = _canonicalize(
+                keys, coeffs, trunc_order, degree_cap, transverse_cap
+            )
         self._keys = keys
         self._coeffs = coeffs
         self.trunc_order = int(trunc_order)
         self.degree_cap = int(degree_cap)
+        self.transverse_cap = None if transverse_cap is None else int(transverse_cap)
 
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def zero(cls, trunc_order, degree_cap=None):
+    def zero(cls, trunc_order, degree_cap=None, transverse_cap=None):
         return cls(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.complex128),
             trunc_order,
             degree_cap,
+            transverse_cap,
             _canonical=True,
         )
 
     @classmethod
-    def from_terms(cls, terms, trunc_order, degree_cap=None):
+    def from_terms(cls, terms, trunc_order, degree_cap=None, transverse_cap=None):
         """Build from an iterable of ``((k1, l1, k2, l2), coeff, bk)`` triples."""
         keys = []
         coeffs = []
@@ -168,12 +209,19 @@ class CanonicalPolynomial:
             np.array(coeffs, dtype=np.complex128),
             trunc_order,
             degree_cap,
+            transverse_cap,
         )
 
-    def copy(self, trunc_order=None, degree_cap=None):
-        """Return a copy, optionally re-truncated under new bounds."""
+    def copy(self, trunc_order=None, degree_cap=None, transverse_cap=None):
+        """Return a copy, re-truncated under new bounds.
+
+        ``trunc_order`` defaults to the current one; ``degree_cap`` and
+        ``transverse_cap`` default as in the constructor.
+        """
         t = self.trunc_order if trunc_order is None else trunc_order
-        return CanonicalPolynomial(self._keys.copy(), self._coeffs.copy(), t, degree_cap)
+        return CanonicalPolynomial(
+            self._keys.copy(), self._coeffs.copy(), t, degree_cap, transverse_cap
+        )
 
     # ------------------------------------------------------------------ views
 
@@ -226,6 +274,17 @@ class CanonicalPolynomial:
         """Largest coefficient magnitude (0.0 when empty)."""
         return float(np.abs(self._coeffs).max()) if self.nterms else 0.0
 
+    def _same_bounds(self, keys, coeffs):
+        """A polynomial of already canonical terms under this one's bounds."""
+        return CanonicalPolynomial(
+            keys,
+            coeffs,
+            self.trunc_order,
+            self.degree_cap,
+            self.transverse_cap,
+            _canonical=True,
+        )
+
     def _bk_slices(self):
         """Yield ``(s, keys, coeffs)`` per book-keeping group, ascending."""
         if self.nterms == 0:
@@ -247,31 +306,26 @@ class CanonicalPolynomial:
         bk = _bk_orders(self._keys)
         i0 = np.searchsorted(bk, lo)
         i1 = np.searchsorted(bk, hi + 1)
-        return CanonicalPolynomial(
-            self._keys[i0:i1],
-            self._coeffs[i0:i1],
-            self.trunc_order,
-            self.degree_cap,
-            _canonical=True,
-        )
+        return self._same_bounds(self._keys[i0:i1], self._coeffs[i0:i1])
 
     # ------------------------------------------------------------- arithmetic
 
     def _binary_bounds(self, other):
+        """(trunc_order, degree_cap, transverse_cap) of a binary result."""
+        a, b = self.transverse_cap, other.transverse_cap
         return (
             min(self.trunc_order, other.trunc_order),
             min(self.degree_cap, other.degree_cap),
+            a if b is None else b if a is None else min(a, b),
         )
 
     def __add__(self, other):
         if not isinstance(other, CanonicalPolynomial):
             return NotImplemented
-        trunc, cap = self._binary_bounds(other)
         return CanonicalPolynomial(
             np.concatenate([self._keys, other._keys]),
             np.concatenate([self._coeffs, other._coeffs]),
-            trunc,
-            cap,
+            *self._binary_bounds(other),
         )
 
     def __sub__(self, other):
@@ -280,33 +334,20 @@ class CanonicalPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return CanonicalPolynomial(
-            self._keys.copy(), -self._coeffs, self.trunc_order, self.degree_cap,
-            _canonical=True,
-        )
+        return self._same_bounds(self._keys.copy(), -self._coeffs)
 
     def scale(self, factor):
         """Multiply all coefficients by a scalar."""
         factor = complex(factor)
         if factor == 0:
-            return CanonicalPolynomial.zero(self.trunc_order, self.degree_cap)
-        out = CanonicalPolynomial(
-            self._keys.copy(),
-            self._coeffs * factor,
-            self.trunc_order,
-            self.degree_cap,
-            _canonical=True,
-        )
-        return out._pruned()
+            return self._same_bounds(self._keys[:0], self._coeffs[:0])
+        return self._same_bounds(self._keys.copy(), self._coeffs * factor)._pruned()
 
     def _pruned(self):
         keep = np.abs(self._coeffs) > PRUNE_TOL
         if keep.all():
             return self
-        return CanonicalPolynomial(
-            self._keys[keep], self._coeffs[keep], self.trunc_order, self.degree_cap,
-            _canonical=True,
-        )
+        return self._same_bounds(self._keys[keep], self._coeffs[keep])
 
     def __mul__(self, other):
         if isinstance(other, CanonicalPolynomial):
@@ -327,23 +368,23 @@ class CanonicalPolynomial:
         keys = self._keys[mask] - (1 << shift)
         coeffs = self._coeffs[mask] * exps[mask]
         # decrementing one fixed field preserves strict key ordering
-        return CanonicalPolynomial(
-            keys, coeffs, self.trunc_order, self.degree_cap, _canonical=True
-        )
+        return self._same_bounds(keys, coeffs)
 
     def __repr__(self):
         return (
             f"CanonicalPolynomial(nterms={self.nterms}, "
-            f"trunc_order={self.trunc_order}, degree_cap={self.degree_cap})"
+            f"trunc_order={self.trunc_order}, degree_cap={self.degree_cap}, "
+            f"transverse_cap={self.transverse_cap})"
         )
 
 
 class _Accumulator:
     """Collects raw (key, coeff) blocks and canonicalizes incrementally."""
 
-    def __init__(self, trunc_order, degree_cap):
+    def __init__(self, trunc_order, degree_cap, transverse_cap):
         self.trunc = trunc_order
         self.cap = degree_cap
+        self.transverse_cap = transverse_cap
         self.key_blocks = []
         self.coeff_blocks = []
         self.pending = 0
@@ -362,7 +403,9 @@ class _Accumulator:
             return
         keys = np.concatenate(self.key_blocks)
         coeffs = np.concatenate(self.coeff_blocks)
-        keys, coeffs = _canonicalize(keys, coeffs, self.trunc, self.cap)
+        keys, coeffs = _canonicalize(
+            keys, coeffs, self.trunc, self.cap, self.transverse_cap
+        )
         self.key_blocks = [keys]
         self.coeff_blocks = [coeffs]
         self.pending = keys.size
@@ -370,31 +413,47 @@ class _Accumulator:
     def result(self):
         self._flush()
         return CanonicalPolynomial(
-            self.key_blocks[0], self.coeff_blocks[0], self.trunc, self.cap,
+            self.key_blocks[0],
+            self.coeff_blocks[0],
+            self.trunc,
+            self.cap,
+            self.transverse_cap,
             _canonical=True,
         )
 
 
 def _multiply(f, g):
     """Product of two polynomials with book-keeping truncation."""
-    trunc = min(f.trunc_order, g.trunc_order)
-    cap = min(f.degree_cap, g.degree_cap)
+    bounds = f._binary_bounds(g)
+    trunc, cap = bounds[:2]
     if f.nterms == 0 or g.nterms == 0:
-        return CanonicalPolynomial.zero(trunc, cap)
-    acc = _Accumulator(trunc, cap)
+        return CanonicalPolynomial.zero(*bounds)
+    acc = _Accumulator(*bounds)
+    # past 255 a field sum could carry into its neighbour; pairs of true
+    # degree <= cap <= 254 cannot, so those are the only ones packed (the
+    # degree caps bound the degrees and spare the scan in the common case)
+    guard = (
+        f.degree_cap + g.degree_cap > _FIELD and f.degree() + g.degree() > _FIELD
+    )
     g_groups = list(g._bk_slices())
     for s1, k1, c1 in f._bk_slices():
         for s2, k2, c2 in g_groups:
             if s1 + s2 > trunc:
                 break
             n1, n2 = k1.size, k2.size
+            if guard:
+                d2 = _degrees(k2)
             # chunk the outer sum so temporaries stay bounded
             step = max(1, _FLUSH_LIMIT // (4 * max(n2, 1)))
             for i0 in range(0, n1, step):
                 i1 = min(i0 + step, n1)
-                kk = (k1[i0:i1, None] + k2[None, :]).ravel()
-                cc = (c1[i0:i1, None] * c2[None, :]).ravel()
-                acc.push(kk, cc)
+                kk = k1[i0:i1, None] + k2[None, :]
+                cc = c1[i0:i1, None] * c2[None, :]
+                if guard:
+                    fits = _degrees(k1[i0:i1])[:, None] + d2[None, :] <= cap
+                    acc.push(kk[fits], cc[fits])
+                else:
+                    acc.push(kk.ravel(), cc.ravel())
     return acc.result()
 
 
@@ -457,10 +516,8 @@ def compose(f, subs):
         if g.nterms and g.max_bk() != 0:
             raise ValueError("substitution polynomials must have bk order 0")
     if f.nterms == 0:
-        return CanonicalPolynomial.zero(f.trunc_order, f.degree_cap)
-    one = CanonicalPolynomial.from_terms(
-        [((0, 0, 0, 0), 1.0, 0)], trunc_order=f.trunc_order, degree_cap=f.degree_cap
-    )
+        return f
+    one = f._same_bounds(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
     pow_cache = [{0: one}, {0: one}, {0: one}, {0: one}]
 
     def power(var, n):
@@ -469,7 +526,7 @@ def compose(f, subs):
             cache[n] = _multiply(power(var, n - 1), subs[var])
         return cache[n]
 
-    acc = _Accumulator(f.trunc_order, f.degree_cap)
+    acc = _Accumulator(f.trunc_order, f.degree_cap, f.transverse_cap)
     k1, l1, k2, l2 = _exponents(f._keys)
     bk = _bk_orders(f._keys)
     for i in range(f.nterms):

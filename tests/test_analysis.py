@@ -14,11 +14,14 @@ from magbottle.analysis import (
     remainder_norm,
 )
 from magbottle.errors import (
+    DegenerateFitWarning,
     FlatMinimumWarning,
+    ModeError,
     MultipleRootsWarning,
     NoRootError,
     RangeError,
 )
+from magbottle.normform import normalize
 
 # ------------------------------------------------------------- remainder norm
 
@@ -50,6 +53,12 @@ def test_norm_matches_direct_state_evaluation(nonres_profile, nf5):
     via_state = remainder_norm(nf5, 5, 6, 0.2, 1e-3)
     via_profile = nonres_profile.norm(5, 6, 0.2, 1e-3)
     assert via_state == pytest.approx(via_profile, rel=1e-12)
+
+
+def test_norm_rejects_capped_state(prep):
+    capped = normalize(prep, r_max=5, r_trunc=6, transverse_cap=2)
+    with pytest.raises(ModeError, match="remainder_norm"):
+        remainder_norm(capped, 5, 6, 0.2, 1e-3)
 
 
 def test_truncation_convergence_at_optimal_order(nonres_profile):
@@ -109,6 +118,18 @@ def test_scan_table_covers_grid(nonres_scan):
 def test_unbracketed_minimum_warns(nonres_profile):
     with pytest.warns(FlatMinimumWarning):
         optimal_order_scan(nonres_profile, E=0.2, delta_E_grid=(1e-9,))
+
+
+@pytest.mark.parametrize("grid", [(1e-2, 1e-1), (1e-4, 1e-2)])
+def test_scan_with_fewer_than_two_fit_points_skips_the_fit(nonres_profile, grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table, fit = optimal_order_scan(nonres_profile, E=0.2, delta_E_grid=grid)
+    assert fit is None
+    assert {dE for dE, _r, _N, _v in table.rows} == set(grid)
+    categories = {w.category for w in caught}
+    assert DegenerateFitWarning in categories
+    assert not any(issubclass(c, np.exceptions.RankWarning) for c in categories)
 
 
 # ------------------------------------------------------- resonance location

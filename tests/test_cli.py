@@ -114,6 +114,20 @@ def test_asymptotics_single_delta_e_skips_fits(tmp_path):
     assert len(rows) == 2 + 5  # header lines plus orders 1..5
 
 
+def test_asymptotics_without_fit_points_skips_fits(tmp_path):
+    # both delta-E values lie above the fit window: no fit, curve written
+    out = tmp_path / "run"
+    proc = run_cli(
+        "asymptotics", "--order-cap", 6, "--delta-e", 0.01, "--delta-e", 0.1,
+        "--out", out,
+    )
+    assert "fits skipped" in proc.stderr
+    assert "DegenerateFitWarning" in proc.stderr
+    assert not (out / "fits.json").exists()
+    rows = (out / "asymptotics.csv").read_text().splitlines()
+    assert len(rows) == 2 + 2 * 5  # header lines plus orders 1..5 per delta-E
+
+
 def test_asymptotics_grid_writes_fits(tmp_path):
     out = tmp_path / "run"
     run_cli(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from magbottle import dynamics
 from magbottle.dynamics import (
     OrbitState,
     central_orbit_monodromy,
@@ -17,6 +18,7 @@ from magbottle.dynamics import (
 )
 from magbottle.errors import (
     EscapeDetected,
+    IncompleteSectionError,
     NoBifurcationInRange,
     SeedOutsideCZVError,
 )
@@ -133,6 +135,18 @@ def test_section_points_conserve_energy():
     for _, z, pz, _ in section.points:
         radicand = 2.0 * (0.1 - V.value(0.0, z)) - pz**2
         assert radicand > 0.0  # p_rho stays real on recorded crossings
+
+
+def test_short_time_budget_raises_instead_of_truncating(monkeypatch):
+    # a revolution takes a few time units, so 1 unit per crossing falls short
+    monkeypatch.setattr(dynamics, "SECTION_TIME_PER_CROSSING", 1.0)
+    with pytest.raises(IncompleteSectionError) as info:
+        poincare_section([(0.25, 0.0), (0.1, 0.05)], 0.1, 10)
+    err = info.value
+    assert err.seed_index == 0
+    assert err.requested == 10 and err.found < 10
+    assert err.t_max == 12.0
+    assert "seed 0" in str(err) and "t_max=12" in str(err)
 
 
 # ---------------------------------------------------------------- monodromy

@@ -8,7 +8,7 @@ import pytest
 
 from magbottle.analysis import bifurcation_energy
 from magbottle.dynamics import integrate, section_seed_state
-from magbottle.errors import NonRealIntegralError, SeedOutsideCZVError
+from magbottle.errors import ModeError, NonRealIntegralError, SeedOutsideCZVError
 from magbottle.invariants import (
     GridSpec,
     back_transform,
@@ -86,6 +86,12 @@ def test_resonant_conservation_improves_with_order(res21_nf8):
     assert var[1] == pytest.approx(4.0384e-3, rel=5e-2)
     assert var[3] == pytest.approx(9.3095e-5, rel=5e-2)
     assert var[5] == pytest.approx(2.6177e-6, rel=5e-2)
+
+
+def test_back_transform_rejects_capped_state(prep):
+    capped = normalize(prep, r_max=3, r_trunc=4, transverse_cap=2)
+    with pytest.raises(ModeError, match="transverse_cap=2"):
+        back_transform(capped)
 
 
 def test_corrupted_generator_is_detected(nf5):

@@ -14,6 +14,7 @@ from magbottle.errors import (
 from magbottle.model import (
     build_builtin_model,
     complexify_nonresonant,
+    parse_potential,
     prepare_resonant,
 )
 from magbottle.normform import (
@@ -305,6 +306,41 @@ def test_step_callback_observes_each_step():
     normalize(complexify_nonresonant(build_builtin_model()), r_max=3, r_trunc=4,
               step_callback=lambda r, ham: seen.append((r, ham.nterms)))
     assert [r for r, _n in seen] == [1, 2, 3]
+
+
+#: the builtin model with every non-quadratic coefficient moved by a few %
+JITTERED = (
+    "0.5*rho^2 + 0.51*rho^2*z^2 - 0.1231*rho^4 + 0.1289*rho^2*z^4"
+    " - 0.0608*rho^4*z^2 + 0.00801*rho^6"
+)
+
+
+@pytest.mark.parametrize("potential", ["builtin", "jittered"])
+def test_transverse_cap_reproduces_the_low_transverse_degrees(potential):
+    if potential == "builtin":
+        spec = build_builtin_model()
+    else:
+        spec = parse_potential(JITTERED)
+    prep = complexify_nonresonant(spec)
+    full = normalize(prep, r_max=12, r_trunc=12)
+    capped = normalize(prep, r_max=12, r_trunc=12, transverse_cap=2)
+    assert full.transverse_cap is None and capped.transverse_cap == 2
+    assert equatorial_energy_series(capped) == equatorial_energy_series(full)
+    assert extract_omega2_squared(capped) == extract_omega2_squared(full)
+    low = {
+        key: c
+        for key, c in full.hamiltonian.as_dict().items()
+        if key[2] + key[3] <= 2
+    }
+    assert capped.hamiltonian.as_dict() == low
+    assert capped.hamiltonian.nterms < full.hamiltonian.nterms
+    assert all(chi.transverse_cap == 2 for chi in capped.generators)
+
+
+def test_state_kernel_is_the_normalization_kernel(res21):
+    assert repr(res21.kernel) == "KernelSet.resonant(2, 1)"
+    prep = complexify_nonresonant(build_builtin_model())
+    assert repr(KernelSet.for_prepared(prep)) == "KernelSet.nonresonant()"
 
 
 def test_extractors_reject_resonant_states(res21):

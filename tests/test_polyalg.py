@@ -83,6 +83,108 @@ def test_degree_cap_discards():
     assert (a * make([((0, 1, 0, 0), 1.0, 0)], trunc=10, cap=6)).nterms == 1
 
 
+def test_transverse_cap_discards_on_build_and_multiply():
+    p = CP.from_terms(
+        [((1, 1, 0, 0), 1.0, 0), ((1, 0, 2, 0), 2.0, 0), ((0, 0, 2, 2), 3.0, 0)],
+        trunc_order=10,
+        transverse_cap=2,
+    )
+    assert p.transverse_cap == 2
+    assert p.as_dict() == {(1, 1, 0, 0, 0): 1.0, (1, 0, 2, 0, 0): 2.0}
+    # k2 + l2 = 4 on the product: dropped, and the cap wins over no cap
+    q2sq = make([((0, 0, 2, 0), 1.0, 0)], trunc=10)
+    assert q2sq.transverse_cap is None
+    prod = p * q2sq
+    assert prod.transverse_cap == 2
+    assert prod.as_dict() == {(1, 1, 2, 0, 0): 1.0}
+    assert (q2sq + p).transverse_cap == 2
+    # unary operations and views keep the cap
+    for derived in (-p, p.scale(2.0), p.scale(0.0), p.derivative(0),
+                    p.restrict_bk(0, 0), p.copy(transverse_cap=2)):
+        assert derived.transverse_cap == 2
+    assert p.copy().transverse_cap is None
+
+
+def test_transverse_cap_is_exact_on_even_transverse_degrees():
+    # with every k2 + l2 even, a bracket never lowers the transverse degree,
+    # so bracketing the capped factors gives the low part of the full bracket
+    rng = np.random.default_rng(3)
+
+    def random_poly():
+        terms = []
+        for _ in range(16):
+            k1, l1 = (int(e) for e in rng.integers(0, 4, size=2))
+            t = int(rng.choice([0, 2, 4]))
+            k2 = int(rng.integers(0, t + 1))
+            terms.append(((k1, l1, k2, t - k2), complex(rng.normal(), rng.normal()),
+                          int(rng.integers(0, 3))))
+        return make(terms, trunc=6)
+
+    for _ in range(5):
+        f, g = random_poly(), random_poly()
+        full = poisson_bracket(f, g).as_dict()
+        for cap in (0, 2):
+            capped = poisson_bracket(
+                f.copy(transverse_cap=cap), g.copy(transverse_cap=cap)
+            )
+            assert capped.transverse_cap == cap
+            assert capped.as_dict() == {
+                k: c for k, c in full.items() if k[2] + k[3] <= cap
+            }
+
+
+def test_packed_key_carry_is_dropped():
+    # q1^254 * q1^127 has true degree 381 above the cap; packed naively its
+    # k1 field carries into l1 and it reads as q1^125 p1, degree 126
+    a = make([((127, 0, 0, 0), 1.0, 0)], cap=254)
+    a254 = a * a
+    assert a254.as_dict() == {(254, 0, 0, 0, 0): 1.0}
+    b = make([((127, 0, 0, 0), 1.0, 0), ((0, 0, 0, 0), 1.0, 0)], cap=254)
+    assert (a254 * b).as_dict() == {(254, 0, 0, 0, 0): 1.0}
+    assert (b * a254).as_dict() == {(254, 0, 0, 0, 0): 1.0}
+
+
+#: one exponent up to 254 (reachable only through products) plus a small one
+_WIDE_MONOMIAL = st.tuples(
+    st.integers(0, 3), st.integers(0, 254), st.integers(0, 3), st.integers(0, 8)
+)
+
+
+def _wide_poly(specs, cap):
+    """Sum of monomials built as products of two fitting halves."""
+    out = make([], cap=cap)
+    for i, (big_var, big, small_var, small) in enumerate(specs):
+        exps = [0, 0, 0, 0]
+        exps[big_var] += big
+        exps[small_var] += small
+        if sum(exps) > cap:
+            continue
+        half = [e // 2 for e in exps]
+        rest = [e - h for e, h in zip(exps, half)]
+        monomial = make([(half, 1.0 + i, 0)], cap=cap) * make([(rest, 1.0, 0)], cap=cap)
+        out = out + monomial
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_WIDE_MONOMIAL, min_size=1, max_size=4),
+    st.lists(_WIDE_MONOMIAL, min_size=1, max_size=4),
+    st.integers(128, 254),
+)
+def test_multiply_never_carries_between_fields(fa, fb, cap):
+    # the product holds exactly the pairs of true degree <= cap, at their
+    # true exponents, even where two 8-bit fields sum past 255
+    f, g = _wide_poly(fa, cap), _wide_poly(fb, cap)
+    want = {}
+    for ka, ca, _ in f.term_items():
+        for kb, cb, _ in g.term_items():
+            key = (*(x + y for x, y in zip(ka, kb)), 0)
+            if sum(key) <= cap:
+                want[key] = want.get(key, 0.0) + ca * cb
+    assert (f * g).as_dict() == want
+
+
 def test_multiply_bk_is_additive():
     a = make([((1, 0, 0, 0), 2.0, 1)])
     b = make([((0, 0, 1, 0), 3.0, 2)])
