@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import warnings
@@ -128,6 +129,8 @@ class RunConfig:
             raise ConfigError("need 0 < order-min <= order-max")
         if self.grid_n < 16:
             raise ConfigError("--grid-n must be >= 16")
+        if self.n_crossings < 0:
+            raise ConfigError("--n-crossings must be >= 0")
         if self.threads < 1:
             raise ConfigError("--threads must be >= 1")
         return self
@@ -149,12 +152,13 @@ def _write_json(path: Path, payload: dict, config_hash: str):
 
 
 def _write_csv(path: Path, columns, rows, config_hash: str):
-    lines = [f"# schema={SCHEMA} config_sha256={config_hash}", ",".join(columns)]
-    for row in rows:
-        lines.append(
-            ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-        )
-    path.write_text("\n".join(lines) + "\n")
+    """Write a header and ``rows`` one line at a time (``rows`` may be lazy)."""
+    with path.open("w") as fh:
+        fh.write(f"# schema={SCHEMA} config_sha256={config_hash}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _load_seeds(config: RunConfig):
@@ -218,6 +222,13 @@ def _prepare(config: RunConfig, spec):
     return prepared, bif
 
 
+def _normal_form(config: RunConfig, prepared):
+    """Uncapped normalization to ``--order``, truncated at ``--trunc``
+    (default order + 1)."""
+    trunc = config.trunc if config.trunc is not None else config.order + 1
+    return normalize(prepared, r_max=config.order, r_trunc=trunc)
+
+
 def _bifurcation_dict(bif):
     return {
         "m1": bif.m1,
@@ -235,8 +246,7 @@ def _bifurcation_dict(bif):
 def cmd_normalize(config: RunConfig, out: Path, config_hash: str):
     spec = _load_potential(config)
     prepared, bif = _prepare(config, spec)
-    trunc = config.trunc if config.trunc is not None else max(config.order + 1, 1)
-    state = normalize(prepared, r_max=config.order, r_trunc=trunc)
+    state = _normal_form(config, prepared)
     meta = {
         "mode": prepared.mode,
         "order": state.r,
@@ -269,8 +279,7 @@ def cmd_section(config: RunConfig, out: Path, config_hash: str):
         print("seed file is empty; nothing to integrate", file=sys.stderr)
         return
     prepared, _bif = _prepare(config, spec)
-    trunc = config.trunc if config.trunc is not None else max(config.order + 1, 1)
-    state = normalize(prepared, r_max=config.order, r_trunc=trunc)
+    state = _normal_form(config, prepared)
     integral = back_transform(state)
     for E in config.energies:
         tag = f"E{E:g}"
@@ -280,27 +289,15 @@ def cmd_section(config: RunConfig, out: Path, config_hash: str):
         _write_csv(
             out / f"numeric_{tag}.csv",
             ("seed_id", "z", "p_z", "t"),
-            [(int(i), z, pz, t) for i, z, pz, t in sect.points],
+            ((int(i), z, pz, t) for i, z, pz, t in sect.points),
             config_hash,
         )
         grid = GridSpec.from_energy(E, config.grid_n)
         levels = section_levels(integral, E, seeds, grid=grid, potential=spec)
-        field = levels[0]
-        rows = []
-        for i, z in enumerate(field.z_axis):
-            for j, pz in enumerate(field.pz_axis):
-                rows.append(
-                    (
-                        float(z),
-                        float(pz),
-                        float(field.values[i, j]),
-                        int(field.valid[i, j]),
-                    )
-                )
         _write_csv(
             out / f"theoretical_{tag}_r{state.r}.csv",
             ("z", "p_z", "phi", "valid"),
-            rows,
+            _field_rows(levels[0]),
             config_hash,
         )
         per_seed = []
@@ -318,6 +315,15 @@ def cmd_section(config: RunConfig, out: Path, config_hash: str):
             out / f"levels_{tag}.json",
             {"energy": E, "order": state.r, "levels": per_seed},
             config_hash,
+        )
+
+
+def _field_rows(field):
+    """Yield the (z, p_z, phi, valid) rows of a section field, z-major."""
+    pz_axis = field.pz_axis.tolist()
+    for z, values, valid in zip(field.z_axis.tolist(), field.values, field.valid):
+        yield from zip(
+            itertools.repeat(z), pz_axis, values.tolist(), valid.astype(int).tolist()
         )
 
 

@@ -243,11 +243,16 @@ def poincare_section(
 ) -> SectionSet:
     """Record ``n_crossings`` section crossings for each (z, p_z) seed.
 
-    Each crossing is a rho = 0 passage with p_rho > 0, localized on the
-    dense output and polished until |rho| < ``crossing_tol``.  The seed
-    itself lies on the section, so it is recorded as the first crossing
-    (t = 0) of its seed and counts toward ``n_crossings``; the first
-    return of the map is the second row.
+    Each crossing is a rho = 0 passage with p_rho > 0, located by the
+    integrator's event root finder on the interpolant of the step that
+    contains it.  The seed itself lies on the section, so it is recorded
+    as the first crossing (t = 0) of its seed and counts toward
+    ``n_crossings``; the first return of the map is the second row.
+    Integration of a seed stops at its ``n_crossings``-th crossing.
+
+    A crossing with |rho| > ``crossing_tol`` gets one Newton polish along
+    the flow: with dt = -rho/p_rho, the time moves by dt and the state by
+    dt times the vector field at the event state.
 
     Raises
     ------
@@ -258,21 +263,23 @@ def poincare_section(
     IncompleteSectionError
         If a seed's time budget, ``SECTION_TIME_PER_CROSSING`` per crossing,
         runs out before ``n_crossings`` crossings (slow orbits near the
-        escape energy).
+        escape energy).  The budget is an upper bound on the integration
+        time, not the time integrated.
     """
     V = build_builtin_model() if potential is None else potential
     rhs = _rhs_factory(V)
+
+    def crossing(_t, y):
+        return y[0]
+
+    # a positive count stops the integration at that occurrence; 0 never does
+    crossing.terminal = n_crossings
+    crossing.direction = 1.0
+    events = _escape_events(escape_bound) + [crossing]
+    t_max = SECTION_TIME_PER_CROSSING * (n_crossings + 2)
     rows = []
     for index, (z0, pz0) in enumerate(seeds):
         state = section_seed_state(z0, pz0, E, V)
-
-        def crossing(_t, y):
-            return y[0]
-
-        crossing.terminal = False
-        crossing.direction = 1.0
-        events = _escape_events(escape_bound) + [crossing]
-        t_max = SECTION_TIME_PER_CROSSING * (n_crossings + 2)
         sol = solve_ivp(
             rhs,
             (0.0, t_max),
@@ -280,23 +287,25 @@ def poincare_section(
             method="DOP853",
             rtol=tol * _RTOL_FACTOR,
             atol=tol * _ATOL_FACTOR,
-            dense_output=True,
             events=events,
         )
-        if sol.status == 1:
-            times = np.concatenate([t for t in sol.t_events[:2] if t.size])
-            t_esc = float(times.min())
-            raise EscapeDetected(t_esc, tuple(float(v) for v in sol.sol(t_esc)))
+        # status 1 also means the n-th crossing, so ask the escape events;
+        # each ends the integration, so at most one of them is recorded
+        for t_esc, y_esc in zip(sol.t_events[:2], sol.y_events[:2]):
+            if t_esc.size:
+                raise EscapeDetected(
+                    float(t_esc[0]), tuple(float(v) for v in y_esc[0])
+                )
         if sol.t_events[2].size < n_crossings:
             raise IncompleteSectionError(
                 index, sol.t_events[2].size, n_crossings, t_max
             )
-        for t_ev in sol.t_events[2][:n_crossings]:
-            y = sol.sol(t_ev)
-            # one Newton polish of the crossing time on the interpolant
+        for t_ev, y in zip(sol.t_events[2][:n_crossings], sol.y_events[2]):
+            # one Newton polish of the crossing time along the flow
             if abs(y[0]) > crossing_tol and y[2] != 0.0:
-                t_ev = t_ev - y[0] / y[2]
-                y = sol.sol(t_ev)
+                dt = -y[0] / y[2]
+                y = y + dt * np.asarray(rhs(t_ev, y))
+                t_ev = t_ev + dt
             rows.append((index, y[1], y[3], t_ev))
     points = np.array(rows, dtype=float) if rows else np.empty((0, 4))
     return SectionSet(energy=E, points=points, n_seeds=len(list(seeds)))

@@ -526,14 +526,28 @@ def compose(f, subs):
             cache[n] = _multiply(power(var, n - 1), subs[var])
         return cache[n]
 
+    # q1^k1 p1^l1 q2^k2 p2^l2 is built left to right, and terms of f share
+    # their leading exponents, so each prefix (k1,), (k1, l1), ... is formed
+    # once per call
+    prefix_cache = {}
+
+    def prefix(exps):
+        if exps not in prefix_cache:
+            if len(exps) == 1:
+                p = power(0, exps[0])
+            else:
+                p = prefix(exps[:-1])
+                e = exps[-1]
+                if e:
+                    p = _multiply(p, power(len(exps) - 1, e))
+            prefix_cache[exps] = p
+        return prefix_cache[exps]
+
     acc = _Accumulator(f.trunc_order, f.degree_cap, f.transverse_cap)
     k1, l1, k2, l2 = _exponents(f._keys)
     bk = _bk_orders(f._keys)
     for i in range(f.nterms):
-        p = power(0, int(k1[i]))
-        for var, e in ((1, int(l1[i])), (2, int(k2[i])), (3, int(l2[i]))):
-            if e:
-                p = _multiply(p, power(var, e))
+        p = prefix((int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i])))
         if p.nterms == 0:
             continue
         acc.push(p._keys + (int(bk[i]) << _BK_SHIFT), p._coeffs * f._coeffs[i])

@@ -3,12 +3,16 @@
 Everything here is deliberately written against the production package: plain
 dict-based polynomial arithmetic, sympy differentiation, exact rational
 (Fraction) arithmetic, and a hand-written flow of the builtin bottle integrated
-with plain scipy. Slow and simple on purpose.
+with plain scipy. Slow and simple on purpose. Two references check an
+optimization of the package against its plain form instead: a Poincare
+section read off a global dense output, and a composition that forms every
+monomial on its own.
 """
 
 from fractions import Fraction
 from math import comb, sqrt
 
+import numpy as np
 import sympy as sp
 from scipy.integrate import solve_ivp
 
@@ -319,3 +323,70 @@ def return_map_trace(E, h=1e-6, t_max=12.0):
     _, p_plus = _first_return(E, 0.0, h, t_max)
     _, p_minus = _first_return(E, 0.0, -h, t_max)
     return (z_plus - z_minus + p_plus - p_minus) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
+# reference Poincare section: full time budget, global dense output
+# ---------------------------------------------------------------------------
+
+
+def dense_section_reference(rhs, y0, n_crossings, t_max, rtol, atol):
+    """First ``n_crossings`` rho = 0, p_rho > 0 crossings as (z, p_z, t).
+
+    Integrates ``rhs`` from ``y0`` with plain scipy DOP853 over the whole
+    budget ``(0, t_max)`` with no terminal event, keeps the global dense
+    output, and reads each crossing state off it at the event time.  A seed
+    on the section is reported at t = 0 and counts as the first crossing.
+    """
+
+    def crossing(_t, y):
+        return y[0]
+
+    crossing.direction = 1.0
+    sol = solve_ivp(
+        rhs, (0.0, t_max), y0, method="DOP853", rtol=rtol, atol=atol,
+        dense_output=True, events=[crossing],
+    )
+    assert sol.status == 0, sol.message
+    times = sol.t_events[0][:n_crossings]
+    assert times.size == n_crossings, f"{times.size} crossings within t = {t_max}"
+    return [(sol.sol(t)[1], sol.sol(t)[3], t) for t in times]
+
+
+# ---------------------------------------------------------------------------
+# composition, one monomial at a time
+# ---------------------------------------------------------------------------
+
+
+def per_term_compose(f, subs):
+    """``compose(f, subs)`` with no work shared between the terms of ``f``.
+
+    Each term builds its own q1^k1 p1^l1 q2^k2 p2^l2 from the powers of the
+    substitutions, left to right.  The raw products are summed in one pass
+    in the package's term order (book-keeping order, then l2, k2, l1, k1),
+    so the result matches a correct ``compose`` bit for bit.
+    """
+    from magbottle.polyalg import CanonicalPolynomial
+
+    bounds = (f.trunc_order, f.degree_cap, f.transverse_cap)
+    one = CanonicalPolynomial.from_terms([((0, 0, 0, 0), 1.0, 0)], *bounds)
+    powers = [[one] for _ in range(4)]
+
+    def power(var, n):
+        while len(powers[var]) <= n:
+            powers[var].append(powers[var][-1] * subs[var])
+        return powers[var][n]
+
+    terms = sorted(
+        f.term_items(), key=lambda t: (t[2], t[0].l2, t[0].k2, t[0].l1, t[0].k1)
+    )
+    raw = []
+    for key, coeff, bk in terms:
+        p = power(0, key.k1)
+        for var in (1, 2, 3):
+            if key[var]:
+                p = p * power(var, key[var])
+        items = list(p.term_items())
+        scaled = np.array([c for _, c, _ in items]) * np.complex128(coeff)
+        raw.extend((k, c, bk) for (k, _, _), c in zip(items, scaled))
+    return CanonicalPolynomial.from_terms(raw, *bounds)

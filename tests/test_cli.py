@@ -92,6 +92,14 @@ def test_invalid_option_value_is_config_error(tmp_path):
     assert "ConfigError" in proc.stderr
 
 
+def test_negative_crossing_count_is_config_error(tmp_path):
+    proc = run_cli(
+        "section", "--n-crossings", -1, "--out", tmp_path / "run", check=False
+    )
+    assert proc.returncode == 2
+    assert "--n-crossings must be >= 0" in proc.stderr
+
+
 def test_computation_failure_names_error(tmp_path):
     # delta_E above the scan energy violates the norm's domain
     proc = run_cli(

@@ -24,6 +24,8 @@ from magbottle.errors import (
 )
 from magbottle.model import build_builtin_model, critical_energy, parse_potential
 
+from oracles import dense_section_reference
+
 # generic bound seed used for the drift and reversibility checks
 SEED = OrbitState(0.9, 0.3, 0.2, 0.1)
 
@@ -135,6 +137,56 @@ def test_section_points_conserve_energy():
     for _, z, pz, _ in section.points:
         radicand = 2.0 * (0.1 - V.value(0.0, z)) - pz**2
         assert radicand > 0.0  # p_rho stays real on recorded crossings
+
+
+@pytest.mark.parametrize(
+    "E, seed",
+    [(0.1, (0.25, 0.0)), (0.1, (0.1, 0.05)), (0.2, (0.3, 0.0)), (0.2, (0.0, 0.2))],
+)
+def test_crossings_equal_a_full_budget_dense_output_reference(E, seed):
+    # stopping at the last crossing and reading the events' own states must
+    # give the crossings a global interpolant over the whole budget gives
+    n = 30
+    V = build_builtin_model()
+    tol = dynamics.DEFAULT_TOL
+    want = dense_section_reference(
+        dynamics._rhs_factory(V),
+        section_seed_state(*seed, E).as_array(),
+        n,
+        dynamics.SECTION_TIME_PER_CROSSING * (n + 2),
+        rtol=tol * dynamics._RTOL_FACTOR,
+        atol=tol * dynamics._ATOL_FACTOR,
+    )
+    got = poincare_section([seed], E, n).points
+    assert [tuple(row) for row in got[:, 1:]] == want
+
+
+def test_forced_polish_stays_on_the_section():
+    # crossing_tol = 0 polishes every crossing off the seed; each polished
+    # point still lies on rho = 0 and hardly moves
+    seed, E = (0.25, 0.0), 0.1
+    default = poincare_section([seed], E, 20).points
+    polished = poincare_section([seed], E, 20, crossing_tol=0.0).points
+    assert not np.array_equal(polished, default)
+    assert np.abs(polished - default).max() < 1e-10
+    traj = integrate(section_seed_state(*seed, E), float(polished[-1, 3]) + 1.0)
+    residuals = [abs(float(traj.dense(t)[0])) for t in polished[:, 3]]
+    assert max(residuals) <= 1e-12
+
+
+def test_section_seed_above_the_escape_energy_escapes():
+    # above 16/27 the orbit leaves the well along the valley rho^2 = 8 + 4 z^2
+    seed, E = (1.0, 0.0), 0.62
+    assert E > critical_energy(build_builtin_model())
+    with pytest.raises(EscapeDetected) as info:
+        poincare_section([seed], E, 100, escape_bound=5.0)
+    err = info.value
+    assert abs(err.state[0]) == pytest.approx(5.0, abs=1e-9)
+    assert OrbitState(*err.state).energy() == pytest.approx(E, abs=1e-9)
+    with pytest.raises(EscapeDetected) as ref:
+        integrate(section_seed_state(*seed, E), 1000.0, escape_bound=5.0)
+    assert err.t == pytest.approx(ref.value.t, abs=1e-9)
+    assert np.allclose(err.state, ref.value.state, atol=1e-9)
 
 
 def test_short_time_budget_raises_instead_of_truncating(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from magbottle.analysis import bifurcation_energy
+from magbottle import invariants
 from magbottle.dynamics import integrate, section_seed_state
 from magbottle.errors import ModeError, NonRealIntegralError, SeedOutsideCZVError
 from magbottle.invariants import (
@@ -17,9 +18,10 @@ from magbottle.invariants import (
 )
 from magbottle.model import prepare_resonant
 from magbottle.normform import normalize
-from magbottle.polyalg import CanonicalPolynomial, to_records
+from magbottle.polyalg import CanonicalPolynomial, compose, to_records
 
 from conftest import truncated_view
+from oracles import per_term_compose
 
 #: window bounding the 2:1 island chain at E = 0.2 (chain spans
 #: |z| <= 0.26, |p_z| <= 0.14; the series' trust region ends around
@@ -92,6 +94,27 @@ def test_back_transform_rejects_capped_state(prep):
     capped = normalize(prep, r_max=3, r_trunc=4, transverse_cap=2)
     with pytest.raises(ModeError, match="transverse_cap=2"):
         back_transform(capped)
+
+
+def test_compose_equals_per_term_oracle_on_resonant_pullback(
+    res21_nf8, monkeypatch
+):
+    # the 2:1 pullback at r = 6 has far fewer distinct monomials and
+    # exponent prefixes than terms; sharing them must not change a bit
+    calls = []
+
+    def recording(f, subs):
+        calls.append((f, subs))
+        return compose(f, subs)
+
+    monkeypatch.setattr(invariants, "compose", recording)
+    back_transform(truncated_view(res21_nf8, 6))
+    ((f, subs),) = calls
+    assert f.nterms > 1000
+    got = compose(f, subs).as_dict()
+    want = per_term_compose(f, subs).as_dict()
+    assert len(got) > 1000
+    assert got == want
 
 
 def test_corrupted_generator_is_detected(nf5):
