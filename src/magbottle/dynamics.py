@@ -277,6 +277,7 @@ def poincare_section(
     crossing.direction = 1.0
     events = _escape_events(escape_bound) + [crossing]
     t_max = SECTION_TIME_PER_CROSSING * (n_crossings + 2)
+    seeds = list(seeds)
     rows = []
     for index, (z0, pz0) in enumerate(seeds):
         state = section_seed_state(z0, pz0, E, V)
@@ -308,7 +309,7 @@ def poincare_section(
                 t_ev = t_ev + dt
             rows.append((index, y[1], y[3], t_ev))
     points = np.array(rows, dtype=float) if rows else np.empty((0, 4))
-    return SectionSet(energy=E, points=points, n_seeds=len(list(seeds)))
+    return SectionSet(energy=E, points=points, n_seeds=len(seeds))
 
 
 def equatorial_turning_point(E: float, potential: PotentialSpec | None = None):

@@ -102,14 +102,8 @@ class KernelSet:
         return (k1 - l1) * self.m1 + (k2 - l2) * self.m2 == 0
 
     def __call__(self, key):
-        k1, l1, k2, l2 = (int(e) for e in key)
-        if self.variant == "nonresonant":
-            if k1 != l1:
-                return False
-            if k1 + l1 == 0:
-                return k2 == 0 and l2 == 2
-            return l2 == 0
-        return (k1 - l1) * self.m1 + (k2 - l2) * self.m2 == 0
+        """The predicate on one exponent tuple (k1, l1, k2, l2)."""
+        return bool(self.mask(*key))
 
     def __repr__(self):
         if self.variant == "nonresonant":

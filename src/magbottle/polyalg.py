@@ -25,10 +25,37 @@ with an even-degree factor never lowers it, and the homological solvers
 act within one transverse degree. Binary operations keep the smaller of the
 two caps of each kind.
 
-A product adds the 8-bit exponent fields of its factors. When the degrees of
-the two factors sum past 255 a field could carry into its neighbour, so such
-products first drop every pair of terms whose true degree exceeds
-``degree_cap``; the pairs that are kept fit their fields.
+Products
+--------
+Every term of a product adds its raw products in one fixed order: f groups
+by ascending book-keeping order, g groups likewise, then row by row. A
+product of fewer than ``_DENSE_MIN_RAW`` term pairs packs them all into one
+sort-and-merge.
+
+In larger products each output order s with at least ``_DENSE_MIN_RAW`` raw
+products is reduced on its own. Each monomial of order s gets the
+mixed-radix code ``k1 + R1 (l1 + R2 (k2 + R3 (deg - dmin)))``, where deg is
+the total degree, dmin the least degree order s can reach, and each radix is
+one more than the largest sum of its field over the group pairs of order s.
+No field sum reaches its radix, so the code of a product is the sum of the
+codes of its factors, formed as an outer sum like packed keys.
+``np.bincount`` finds the occupied cells and adds each cell's entries in
+input order: the very sums that sorting and merging the same entries gives.
+Only the occupied cells are decoded, pruned, capped and sorted. An order
+takes this path when its code box holds at most ``_DENSE_BOX_PER_RAW``
+cells per raw product; sparser and smaller orders sort, which costs more
+per raw product and less per order.
+
+Raw entries are reduced whenever more than ``_FLUSH_LIMIT`` are pending, and
+both reductions carry the partial sums, unpruned, into the next one as its
+first entries: a term is pruned on its final sum only, so no result depends
+on the limit.
+
+A packed key adds the 8-bit exponent fields of its factors. When the degrees
+of the two factors sum past 255 a field could carry into its neighbour, so
+such products first drop every pair of terms whose true degree exceeds
+``degree_cap``; the pairs that are kept fit their fields. Codes are decoded
+to true exponents and capped before they are packed, so they need no guard.
 
 The Poisson bracket follows the convention
 
@@ -40,6 +67,7 @@ because a valid generator has minimum book-keeping order >= 1.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +98,11 @@ _MAX_EXPONENT = 127
 
 # raw product buffers are flushed once they reach this many entries
 _FLUSH_LIMIT = 1 << 23
+
+# which output orders are summed in code cells instead of sorted (see
+# "Products" above); set from timings of the benchmark's workloads
+_DENSE_MIN_RAW = 4096
+_DENSE_BOX_PER_RAW = 8
 
 
 class ExponentKey(NamedTuple):
@@ -109,8 +142,14 @@ def _transverse_degrees(keys):
     return ((keys >> _SHIFTS[2]) & _FIELD) + ((keys >> _SHIFTS[3]) & _FIELD)
 
 
-def _canonicalize(keys, coeffs, trunc_order, degree_cap, transverse_cap=None):
-    """Sort, merge duplicates, and prune. Returns new (keys, coeffs)."""
+def _canonicalize(
+    keys, coeffs, trunc_order, degree_cap, transverse_cap=None, prune=True
+):
+    """Sort, merge duplicates, and prune. Returns new (keys, coeffs).
+
+    With ``prune=False`` every merged sum is kept, however small, so that a
+    partial sum merged again with later entries adds up as in one merge.
+    """
     if transverse_cap is not None and keys.size:
         # dropping before the sort is exact: each key is kept or not on its own
         keep = _transverse_degrees(keys) <= transverse_cap
@@ -122,9 +161,10 @@ def _canonicalize(keys, coeffs, trunc_order, degree_cap, transverse_cap=None):
     re = np.bincount(inverse, weights=coeffs.real, minlength=uniq.size)
     im = np.bincount(inverse, weights=coeffs.imag, minlength=uniq.size)
     merged = re + 1j * im
-    keep = np.abs(merged) > PRUNE_TOL
-    keep &= _bk_orders(uniq) <= trunc_order
+    keep = _bk_orders(uniq) <= trunc_order
     keep &= _degrees(uniq) <= degree_cap
+    if prune:
+        keep &= np.abs(merged) > PRUNE_TOL
     return uniq[keep], merged[keep]
 
 
@@ -394,9 +434,9 @@ class _Accumulator:
         self.coeff_blocks.append(coeffs)
         self.pending += keys.size
         if self.pending > _FLUSH_LIMIT:
-            self._flush()
+            self._flush(prune=False)
 
-    def _flush(self):
+    def _flush(self, prune=True):
         if not self.key_blocks:
             self.key_blocks = [np.empty(0, dtype=np.int64)]
             self.coeff_blocks = [np.empty(0, dtype=np.complex128)]
@@ -404,7 +444,7 @@ class _Accumulator:
         keys = np.concatenate(self.key_blocks)
         coeffs = np.concatenate(self.coeff_blocks)
         keys, coeffs = _canonicalize(
-            keys, coeffs, self.trunc, self.cap, self.transverse_cap
+            keys, coeffs, self.trunc, self.cap, self.transverse_cap, prune
         )
         self.key_blocks = [keys]
         self.coeff_blocks = [coeffs]
@@ -422,39 +462,189 @@ class _Accumulator:
         )
 
 
+class _Code(NamedTuple):
+    """Code exponents of a group: (k1, l1, k2, degree) per term stacked in
+    ``exps``, their maxima in ``top``, and the smallest degree."""
+
+    exps: np.ndarray
+    top: tuple
+    dmin: int
+
+
+class _Group:
+    """One book-keeping group of a factor; its ``code`` is computed on first
+    use."""
+
+    def __init__(self, keys, coeffs):
+        self.keys = keys
+        self.coeffs = coeffs
+
+    @cached_property
+    def code(self):
+        k1, l1, k2, l2 = _exponents(self.keys)
+        exps = np.stack([k1, l1, k2, k1 + l1 + k2 + l2])
+        return _Code(exps, tuple(exps.max(axis=1).tolist()), int(exps[3].min()))
+
+
+def _chunks(n1, n2):
+    """Row blocks ``(i0, i1)`` of an ``n1 x n2`` outer product, so that
+    temporaries stay bounded."""
+    step = max(1, _FLUSH_LIMIT // (4 * max(n2, 1)))
+    for i0 in range(0, n1, step):
+        yield i0, min(i0 + step, n1)
+
+
+def _cell_sums(cells, re, im, blocks):
+    """Occupied code cells and their sums over ``blocks``, carried sums first.
+
+    Each block is ``(codes_a, codes_b, coeffs_a, coeffs_b)``, a column and a
+    row whose outer sum and outer product are its raw entries. ``bincount``
+    adds each cell's entries in input order, so the sums are the ones a
+    sort-and-merge of the same entries gives, bit for bit.
+    """
+    sizes = [ca.size * cb.size for ca, cb, _, _ in blocks]
+    codes = np.empty(cells.size + sum(sizes), dtype=np.int64)
+    coeffs = np.empty(sum(sizes), dtype=np.complex128)
+    codes[: cells.size] = cells
+    pos = 0
+    for (ca, cb, xa, xb), n in zip(blocks, sizes):
+        shape = (ca.size, cb.size)
+        np.add(ca, cb, out=codes[cells.size + pos :][:n].reshape(shape))
+        np.multiply(xa, xb, out=coeffs[pos : pos + n].reshape(shape))
+        pos += n
+    occupied = np.flatnonzero(np.bincount(codes) != 0)
+    sums = [
+        np.bincount(codes, weights=np.concatenate([carried, part]))[occupied]
+        for carried, part in ((re, coeffs.real), (im, coeffs.imag))
+    ]
+    return occupied, *sums
+
+
+def _dense_order(s, pairs, raw, bounds):
+    """The terms of book-keeping order ``s`` of a product, summed unsorted.
+
+    ``pairs`` lists the (f group, g group) pairs whose orders add to ``s``,
+    in ascending f order, and ``raw`` counts their products. Returns the
+    merged, pruned and capped (keys, coeffs) in no particular order, or None
+    when the code box holds too many cells per raw product.
+    """
+    _, cap, transverse_cap = bounds
+    top = [max(a.code.top[i] + b.code.top[i] for a, b in pairs) for i in range(4)]
+    dmin = min(a.code.dmin + b.code.dmin for a, b in pairs)
+    r1, r2, r3 = top[0] + 1, top[1] + 1, top[2] + 1
+    stride = r1 * r2 * r3
+    box = stride * (top[3] - dmin + 1)
+    if box > _DENSE_BOX_PER_RAW * min(raw, _FLUSH_LIMIT):
+        return None
+    # each field sum stays below its radix, so codes add without carries
+    weights = np.array([1, r1, r1 * r2, stride], dtype=np.int64)
+    cells = np.empty(0, dtype=np.int64)
+    re = im = np.empty(0)
+    batch, pending = [], 0
+    for a, b in pairs:
+        ca = weights @ a.code.exps
+        cb = weights @ b.code.exps - stride * dmin
+        for i0, i1 in _chunks(a.keys.size, b.keys.size):
+            batch.append(
+                (ca[i0:i1, None], cb[None, :], a.coeffs[i0:i1, None], b.coeffs[None, :])
+            )
+            pending += (i1 - i0) * b.keys.size
+            if pending > _FLUSH_LIMIT:
+                cells, re, im = _cell_sums(cells, re, im, batch)
+                batch, pending = [], cells.size
+    if batch:
+        cells, re, im = _cell_sums(cells, re, im, batch)
+    merged = re + 1j * im
+    keep = np.abs(merged) > PRUNE_TOL
+    cells, merged = cells[keep], merged[keep]
+    k1, rest = cells % r1, cells // r1
+    l1, rest = rest % r2, rest // r2
+    k2, deg = rest % r3, rest // r3 + dmin
+    l2 = deg - k1 - l1 - k2
+    keep = deg <= cap
+    if transverse_cap is not None:
+        keep &= k2 + l2 <= transverse_cap
+    keys = (
+        k1[keep]
+        | l1[keep] << _SHIFTS[1]
+        | k2[keep] << _SHIFTS[2]
+        | l2[keep] << _SHIFTS[3]
+        | s << _BK_SHIFT
+    )
+    return keys, merged[keep]
+
+
+def _group_pairs(f, g, trunc):
+    """Yield ``(s1 + s2, f group, g group)`` for the bk groups of ``f`` and
+    ``g`` with s1 + s2 <= ``trunc``, ascending in s1, then s2."""
+    g_groups = [(s2, _Group(k, c)) for s2, k, c in g._bk_slices()]
+    for s1, k, c in f._bk_slices():
+        a = _Group(k, c)
+        for s2, b in g_groups:
+            if s1 + s2 > trunc:
+                break
+            yield s1 + s2, a, b
+
+
+def _push_products(acc, pairs, cap, guard):
+    """Push the raw products of ``(f group, g group)`` pairs into ``acc``."""
+    for a, b in pairs:
+        k1, c1, k2, c2 = a.keys, a.coeffs, b.keys, b.coeffs
+        if guard:
+            d2 = _degrees(k2)
+        for i0, i1 in _chunks(k1.size, k2.size):
+            kk = k1[i0:i1, None] + k2[None, :]
+            cc = c1[i0:i1, None] * c2[None, :]
+            if guard:
+                fits = _degrees(k1[i0:i1])[:, None] + d2[None, :] <= cap
+                acc.push(kk[fits], cc[fits])
+            else:
+                acc.push(kk.ravel(), cc.ravel())
+
+
 def _multiply(f, g):
     """Product of two polynomials with book-keeping truncation."""
     bounds = f._binary_bounds(g)
     trunc, cap = bounds[:2]
     if f.nterms == 0 or g.nterms == 0:
         return CanonicalPolynomial.zero(*bounds)
-    acc = _Accumulator(*bounds)
-    # past 255 a field sum could carry into its neighbour; pairs of true
-    # degree <= cap <= 254 cannot, so those are the only ones packed (the
-    # degree caps bound the degrees and spare the scan in the common case)
+    # past 255 a packed field sum could carry into its neighbour; pairs of
+    # true degree <= cap <= 254 cannot, so those are the only ones packed
+    # (the degree caps bound the degrees and spare the scan in the common
+    # case)
     guard = (
         f.degree_cap + g.degree_cap > _FIELD and f.degree() + g.degree() > _FIELD
     )
-    g_groups = list(g._bk_slices())
-    for s1, k1, c1 in f._bk_slices():
-        for s2, k2, c2 in g_groups:
-            if s1 + s2 > trunc:
-                break
-            n1, n2 = k1.size, k2.size
-            if guard:
-                d2 = _degrees(k2)
-            # chunk the outer sum so temporaries stay bounded
-            step = max(1, _FLUSH_LIMIT // (4 * max(n2, 1)))
-            for i0 in range(0, n1, step):
-                i1 = min(i0 + step, n1)
-                kk = k1[i0:i1, None] + k2[None, :]
-                cc = c1[i0:i1, None] * c2[None, :]
-                if guard:
-                    fits = _degrees(k1[i0:i1])[:, None] + d2[None, :] <= cap
-                    acc.push(kk[fits], cc[fits])
-                else:
-                    acc.push(kk.ravel(), cc.ravel())
-    return acc.result()
+    acc = _Accumulator(*bounds)
+    grouped = _group_pairs(f, g, trunc)
+    if f.nterms * g.nterms < _DENSE_MIN_RAW:
+        # no output order can reach the floor
+        _push_products(acc, ((a, b) for _, a, b in grouped), cap, guard)
+        return acc.result()
+    # each output order lists its pairs in ascending f order, the order in
+    # which both reductions add each term's raw products
+    by_order = {}
+    for s, a, b in grouped:
+        by_order.setdefault(s, []).append((a, b))
+    key_blocks, coeff_blocks = [], []
+    for s in sorted(by_order):
+        pairs = by_order[s]
+        raw = sum(a.keys.size * b.keys.size for a, b in pairs)
+        terms = None
+        if raw >= _DENSE_MIN_RAW:
+            terms = _dense_order(s, pairs, raw, bounds)
+        if terms is None:
+            _push_products(acc, pairs, cap, guard)
+        else:
+            key_blocks.append(terms[0])
+            coeff_blocks.append(terms[1])
+    out = acc.result()
+    if not key_blocks:
+        return out
+    keys = np.concatenate([out._keys, *key_blocks])
+    order = np.argsort(keys)
+    coeffs = np.concatenate([out._coeffs, *coeff_blocks])[order]
+    return out._same_bounds(keys[order], coeffs)
 
 
 def poisson_bracket(f, g):

@@ -5,8 +5,8 @@ dict-based polynomial arithmetic, sympy differentiation, exact rational
 (Fraction) arithmetic, and a hand-written flow of the builtin bottle integrated
 with plain scipy. Slow and simple on purpose. Two references check an
 optimization of the package against its plain form instead: a Poincare
-section read off a global dense output, and a composition that forms every
-monomial on its own.
+section read off a global dense output, a composition that forms every
+monomial on its own, and a product that sums its raw terms by sorting them.
 """
 
 from fractions import Fraction
@@ -390,3 +390,42 @@ def per_term_compose(f, subs):
         scaled = np.array([c for _, c, _ in items]) * np.complex128(coeff)
         raw.extend((k, c, bk) for (k, _, _), c in zip(items, scaled))
     return CanonicalPolynomial.from_terms(raw, *bounds)
+
+
+# ---------------------------------------------------------------------------
+# products, summed by sorting every raw term
+# ---------------------------------------------------------------------------
+
+
+def sorted_product(f, g):
+    """``f * g`` with every raw product sorted and merged in one accumulator.
+
+    Raw products are pushed f group by g group, in ascending book-keeping
+    order of each, and row by row within a pair, so each output term sums
+    its products in the order the package adds them.  A factor pair whose
+    degrees could carry an 8-bit exponent field is packed only when its
+    true degree fits the cap.
+    """
+    from magbottle import polyalg
+
+    bounds = f._binary_bounds(g)
+    trunc, cap = bounds[:2]
+    if f.nterms == 0 or g.nterms == 0:
+        return polyalg.CanonicalPolynomial.zero(*bounds)
+    acc = polyalg._Accumulator(*bounds)
+    guard = (
+        f.degree_cap + g.degree_cap > 0xFF and f.degree() + g.degree() > 0xFF
+    )
+    g_groups = list(g._bk_slices())
+    for s1, k1, c1 in f._bk_slices():
+        for s2, k2, c2 in g_groups:
+            if s1 + s2 > trunc:
+                break
+            kk = k1[:, None] + k2[None, :]
+            cc = c1[:, None] * c2[None, :]
+            if guard:
+                fits = polyalg._degrees(k1)[:, None] + polyalg._degrees(k2) <= cap
+                acc.push(kk[fits], cc[fits])
+            else:
+                acc.push(kk.ravel(), cc.ravel())
+    return acc.result()

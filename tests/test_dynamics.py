@@ -139,6 +139,14 @@ def test_section_points_conserve_energy():
         assert radicand > 0.0  # p_rho stays real on recorded crossings
 
 
+def test_section_counts_seeds_given_as_an_iterator():
+    seeds = [(0.25, 0.0), (0.1, 0.05)]
+    listed = poincare_section(seeds, 0.1, 3)
+    streamed = poincare_section(iter(seeds), 0.1, 3)
+    assert listed.n_seeds == streamed.n_seeds == 2
+    assert np.array_equal(streamed.points, listed.points)
+
+
 @pytest.mark.parametrize(
     "E, seed",
     [(0.1, (0.25, 0.0)), (0.1, (0.1, 0.05)), (0.2, (0.3, 0.0)), (0.2, (0.0, 0.2))],

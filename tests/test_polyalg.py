@@ -1,10 +1,13 @@
 """Tests for the sparse graded polynomial algebra."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from magbottle import polyalg
 from magbottle.errors import NonNilpotentGenerator
 from magbottle.polyalg import (
     PRUNE_TOL,
@@ -18,7 +21,7 @@ from magbottle.polyalg import (
     to_records,
 )
 
-from oracles import sympy_bracket
+from oracles import sorted_product, sympy_bracket
 
 TOL = 1e-11
 
@@ -183,6 +186,153 @@ def test_multiply_never_carries_between_fields(fa, fb, cap):
             if sum(key) <= cap:
                 want[key] = want.get(key, 0.0) + ca * cb
     assert (f * g).as_dict() == want
+
+
+#: (terms drawn per factor, largest exponent) of each operand shape: "small"
+#: has no output order with enough raw products for the code reduction,
+#: "dense" has a compact code box, "sparse" a box too large for its raw
+#: products
+_PRODUCT_SHAPES = {"small": (30, 4), "dense": (260, 4), "sparse": (220, 40)}
+
+#: products of these collide exactly (x and -x), round (0.1, 1/3), and land
+#: at the prune threshold (1e-7 squared)
+_PRODUCT_COEFFS = (1.0, -1.0, 0.1, -0.1, 1 / 3, -1 / 3, 2.5, 1e-7)
+
+
+def _random_factor(rng, n, top, n_groups, bounds):
+    """``n`` drawn terms of mixed degree over ``n_groups`` bk groups."""
+    exps = rng.integers(0, top + 1, size=(n, 4))
+    pool = np.array(_PRODUCT_COEFFS)
+    coeffs = rng.choice(pool, n) + 1j * rng.choice(pool, n) * rng.integers(0, 2, n)
+    bks = rng.integers(0, n_groups, n)
+    return CP.from_terms(
+        [(tuple(e), c, bk) for e, c, bk in zip(exps, coeffs, bks)], *bounds
+    )
+
+
+def _dense_taken(f, g):
+    """``f * g`` and, per output order that reached the dense reduction,
+    whether it was summed there (True) or sorted (False)."""
+    taken = []
+    dense_order = polyalg._dense_order
+
+    def spy(*args):
+        terms = dense_order(*args)
+        taken.append(terms is not None)
+        return terms
+
+    with mock.patch.object(polyalg, "_dense_order", spy):
+        return f * g, taken
+
+
+def _assert_bitwise_equal(got, want):
+    assert (got.trunc_order, got.degree_cap, got.transverse_cap) == (
+        want.trunc_order, want.degree_cap, want.transverse_cap
+    )
+    assert got._keys.tolist() == want._keys.tolist()
+    assert got._coeffs.view(np.int64).tolist() == want._coeffs.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_PRODUCT_SHAPES)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0),
+    st.sampled_from([None, 0, 2, 4]),
+)
+@example("dense", 1, 1, 0.5, None)
+@example("dense", 3, 3, 0.0, 4)
+@example("sparse", 3, 2, 0.5, None)
+@example("small", 4, 3, 0.5, 2)
+def test_multiply_equals_sorted_reference(shape, seed, n_groups, cap_share, tcap):
+    # every output order, whichever way it is reduced, holds the same keys
+    # and the same coefficient bits as one sort-and-merge of all raw products
+    n, top = _PRODUCT_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    trunc = n_groups - 1 + int(rng.integers(0, n_groups))
+    # a cap between the factor degree and the product degree cuts products
+    cap = min(4 * top + int(cap_share * 4 * top), 254)
+    # the transverse cap filters f itself; g keeps every transverse degree
+    f = _random_factor(rng, n, top, n_groups, (trunc, cap, tcap))
+    g = _random_factor(rng, n * 4 // 5, top, n_groups, (trunc, cap, None))
+    got, taken = _dense_taken(f, g)
+    if shape == "dense":
+        assert all(taken)
+    else:
+        assert not any(taken)
+    _assert_bitwise_equal(got, sorted_product(f, g))
+
+
+@pytest.mark.parametrize("shape", ["dense", "sparse"])
+def test_large_orders_reach_the_code_reduction(shape):
+    # both shapes have orders with enough raw products; only the compact
+    # box is summed in code cells, the sparse one sorts
+    n, top = _PRODUCT_SHAPES[shape]
+    rng = np.random.default_rng(3)
+    bounds = (3, 4 * top, None)
+    f = _random_factor(rng, n, top, 2, bounds)
+    g = _random_factor(rng, n * 4 // 5, top, 2, bounds)
+    got, taken = _dense_taken(f, g)
+    assert len(taken) == 3
+    assert all(taken) if shape == "dense" else not any(taken)
+    _assert_bitwise_equal(got, sorted_product(f, g))
+
+
+def test_multiply_drops_sums_that_cancel_to_zero():
+    # integer coefficients sum exactly, so many cells of the dense product
+    # cancel to exactly zero; the product holds every other cell
+    rng = np.random.default_rng(5)
+    bounds = (2, 20, None)
+
+    def factor(n):
+        exps = rng.integers(0, 6, size=(n, 4))
+        signs = rng.choice([-1.0, 1.0], n)
+        return CP.from_terms([(tuple(e), c, 0) for e, c in zip(exps, signs)], *bounds)
+
+    f, g = factor(260), factor(200)
+    got, taken = _dense_taken(f, g)
+    assert taken and all(taken)
+    _assert_bitwise_equal(got, sorted_product(f, g))
+    want = {}
+    for ka, ca, _ in f.term_items():
+        for kb, cb, _ in g.term_items():
+            key = (*(x + y for x, y in zip(ka, kb)), 0)
+            want[key] = want.get(key, 0.0) + ca * cb
+    want = {k: c for k, c in want.items() if sum(k) <= bounds[1]}
+    assert sum(c == 0 for c in want.values()) > 0
+    assert got.as_dict() == {k: c for k, c in want.items() if c != 0}
+
+
+def test_dense_product_carries_partial_sums_across_batches(monkeypatch):
+    # with a tiny buffer every order is reduced in many batches, each one
+    # carrying the previous sums first, and the bits still match one pass
+    rng = np.random.default_rng(11)
+    bounds = (4, 16, None)
+    f = _random_factor(rng, 260, 4, 3, bounds)
+    g = _random_factor(rng, 200, 4, 3, bounds)
+    want = sorted_product(f, g)
+    monkeypatch.setattr(polyalg, "_FLUSH_LIMIT", 700)
+    monkeypatch.setattr(polyalg, "_DENSE_BOX_PER_RAW", 10**3)
+    got, taken = _dense_taken(f, g)
+    assert taken and all(taken)
+    _assert_bitwise_equal(got, want)
+
+
+def test_sorted_product_keeps_small_partial_sums_across_flushes(monkeypatch):
+    # q1 p1 at bk 1 first gets 1e-7 * 1e-7 (f bk 0 times g bk 1), at the
+    # prune threshold, and then 1 * 1 (f bk 1 times g bk 0); a buffer flush
+    # between the two must carry the first, as one merge would
+    f = make([((1, 0, 0, 0), 1e-7, 0), ((1, 0, 0, 0), 1.0, 1)], trunc=1)
+    g = make(
+        [((0, 1, 0, 0), 1.0, 0), ((0, 1, 0, 0), 1e-7, 1)]
+        + [(key, 1.0, 1) for key in ((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 2, 0))],
+        trunc=1,
+    )
+    want = sorted_product(f, g)
+    assert want.coefficient(1, 1, 0, 0, bk=1) == 1e-7 * 1e-7 + 1.0
+    monkeypatch.setattr(polyalg, "_FLUSH_LIMIT", 3)
+    _assert_bitwise_equal(f * g, want)
 
 
 def test_multiply_bk_is_additive():
