@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import sys
 import warnings
@@ -152,11 +151,18 @@ def _write_json(path: Path, payload: dict, config_hash: str):
 
 
 def _write_csv(path: Path, columns, rows, config_hash: str):
-    """Write a header and ``rows`` one line at a time (``rows`` may be lazy)."""
+    """Write a header and ``rows`` one at a time (``rows`` may be lazy).
+
+    A row is a tuple of cells, or a string of already formatted lines,
+    which is written unchanged.
+    """
     with path.open("w") as fh:
         fh.write(f"# schema={SCHEMA} config_sha256={config_hash}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+                continue
             cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
             fh.write(",".join(cells) + "\n")
 
@@ -319,11 +325,17 @@ def cmd_section(config: RunConfig, out: Path, config_hash: str):
 
 
 def _field_rows(field):
-    """Yield the (z, p_z, phi, valid) rows of a section field, z-major."""
-    pz_axis = field.pz_axis.tolist()
+    """Yield the (z, p_z, phi, valid) lines of a section field, one text
+    block per z value; each axis value is formatted once."""
+    pz_cells = [f",{pz!r}," for pz in field.pz_axis.tolist()]
+    flags = (",0\n", ",1\n")
     for z, values, valid in zip(field.z_axis.tolist(), field.values, field.valid):
-        yield from zip(
-            itertools.repeat(z), pz_axis, values.tolist(), valid.astype(int).tolist()
+        head = repr(z)
+        yield "".join(
+            [
+                f"{head}{pz}{phi!r}{flags[ok]}"
+                for pz, phi, ok in zip(pz_cells, values.tolist(), valid.tolist())
+            ]
         )
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NoBifurcationInRange,
     SeedOutsideCZVError,
 )
-from .model import PotentialSpec, build_builtin_model, critical_energy
+from .model import PotentialSpec, critical_energy, resolve_potential
 
 __all__ = [
     "OrbitState",
@@ -71,7 +71,7 @@ class OrbitState:
         return np.array([self.rho, self.z, self.p_rho, self.p_z])
 
     def energy(self, potential: PotentialSpec | None = None) -> float:
-        V = build_builtin_model() if potential is None else potential
+        V = resolve_potential(potential)
         return 0.5 * (self.p_rho**2 + self.p_z**2) + V.value(self.rho, self.z)
 
 
@@ -191,7 +191,7 @@ def integrate(
     EscapeDetected
         When |rho| or |z| exceeds ``escape_bound``.
     """
-    V = build_builtin_model() if potential is None else potential
+    V = resolve_potential(potential)
     sol = solve_ivp(
         _rhs_factory(V),
         (initial.t, initial.t + T),
@@ -223,7 +223,7 @@ def section_seed_state(
     SeedOutsideCZVError
         If the point requires p_rho^2 < 0 at this energy.
     """
-    V = build_builtin_model() if potential is None else potential
+    V = resolve_potential(potential)
     radicand = 2.0 * (E - V.value(0.0, z)) - p_z**2
     if radicand <= 0.0:
         raise SeedOutsideCZVError(
@@ -266,7 +266,7 @@ def poincare_section(
         escape energy).  The budget is an upper bound on the integration
         time, not the time integrated.
     """
-    V = build_builtin_model() if potential is None else potential
+    V = resolve_potential(potential)
     rhs = _rhs_factory(V)
 
     def crossing(_t, y):
@@ -314,7 +314,7 @@ def poincare_section(
 
 def equatorial_turning_point(E: float, potential: PotentialSpec | None = None):
     """Inner-branch turning radius of the equatorial orbit: V(rho, 0) = E."""
-    V = build_builtin_model() if potential is None else potential
+    V = resolve_potential(potential)
     e_crit = critical_energy(V)
     if not 0.0 < E < e_crit:
         raise ValueError(f"energy {E} outside the bound range (0, {e_crit:.6g})")
@@ -349,7 +349,7 @@ def central_orbit_monodromy(
     monodromy matrix is the square of the half-period matrix because the
     variational coefficient d2V/dz2(rho(t), 0) is even in rho.
     """
-    V = build_builtin_model() if potential is None else potential
+    V = resolve_potential(potential)
     rho_max = equatorial_turning_point(E, V)
     rho_terms = [(a - 1, c * a) for (a, b), c in V.as_dict().items() if b == 0 and a]
     zz_terms = [(a, 2.0 * c) for (a, b), c in V.as_dict().items() if b == 2]

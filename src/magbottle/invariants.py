@@ -7,6 +7,16 @@ and the complexification yields a polynomial Phi(rho, z, p_rho, p_z) that
 is approximately conserved by the original flow.  Restricted to the
 surface of section rho = 0, p_rho = +sqrt(2(E - V(0,z)) - p_z^2), its
 level sets are the theoretical invariant curves.
+
+On the section only the rho-free terms of Phi survive, and with
+G = p_rho^2 = 2 (E - V(0, z)) - p_z^2 they read
+
+    Phi_sect(z, p_z) = sum_m G^m sum_{a,b} C[m, a, b] z^a p_z^b.
+
+The field over an n_z x n_pz grid is built from the power tables
+Zpow[i, a] = z_i^a and PZpow[j, b] = pz_j^b: each F_m = Zpow C_m PZpow^T
+is two small matrix products, and the sum over m runs by Horner's rule in
+G, ((F_M G + F_{M-1}) G + ...) G + F_0.  V(0, z) is evaluated once per z.
 """
 
 from __future__ import annotations
@@ -18,8 +28,14 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import NonRealIntegralError, SeedOutsideCZVError
-from .model import PotentialSpec, Resonance
-from .polyalg import CanonicalPolynomial, evaluate, compose, lie_transform
+from .model import PotentialSpec, Resonance, resolve_potential
+from .polyalg import (
+    CanonicalPolynomial,
+    _exponents,
+    compose,
+    evaluate,
+    lie_transform,
+)
 
 __all__ = [
     "FormalIntegral",
@@ -191,35 +207,51 @@ def back_transform(state) -> FormalIntegral:
     return FormalIntegral(poly=poly, mode=state.mode, order=state.r, resonance=res)
 
 
-def _section_terms(integral: FormalIntegral):
-    """Collapse Phi to section form: [(m, a, b, c)] with p_rho^(2m) z^a pz^b.
+def _section_table(integral: FormalIntegral):
+    """C[m, a, b], the coefficient of p_rho^(2m) z^a p_z^b in Phi_sect.
 
     Only rho-free monomials survive on the section, and those carry even
-    p_rho powers for the admissible (reflection-symmetric) models.
+    p_rho powers for the admissible (reflection-symmetric) models.  The
+    entries of one monomial at several book-keeping orders are summed in
+    ascending order.  An integral without rho-free terms gives a 1x1x1
+    zero table.
     """
-    collected = {}
-    for key, coeff, _bk in integral.poly.term_items():
-        if key.k1:
-            continue
-        if key.l1 % 2:
-            raise ValueError(
-                "integral has odd p_rho powers on the section; the model "
-                "lacks the assumed reflection symmetry"
-            )
-        index = (key.l1 // 2, key.k2, key.l2)
-        collected[index] = collected.get(index, 0.0) + coeff.real
-    return [(m, a, b, c) for (m, a, b), c in collected.items()]
+    k1, l1, k2, l2 = _exponents(integral.poly._keys)
+    on = k1 == 0
+    if np.any(l1[on] % 2):
+        raise ValueError(
+            "integral has odd p_rho powers on the section; the model "
+            "lacks the assumed reflection symmetry"
+        )
+    index = (l1[on] // 2, k2[on], l2[on])
+    shape = tuple(int(e.max(initial=0)) + 1 for e in index)
+    cells = np.ravel_multi_index(index, shape)
+    weights = integral.poly._coeffs.real[on]
+    return np.bincount(cells, weights=weights, minlength=math.prod(shape)).reshape(
+        shape
+    )
 
 
 def _section_field(integral, E, z_vals, pz_vals, potential):
-    """Evaluate Phi_sect on the meshgrid of the given axes."""
-    Z, PZ = np.meshgrid(z_vals, pz_vals, indexing="ij")
-    radicand = 2.0 * (E - potential.value(0.0, Z)) - PZ**2
+    """Evaluate Phi_sect on the meshgrid of the given axes.
+
+    With G = p_rho^2 = 2 (E - V(0, z)) - p_z^2, the field is
+    sum_m F_m G^m, where F_m = Zpow C_m PZpow^T holds the z^a p_z^b part
+    of the p_rho^(2m) coefficient (Zpow[i, a] = z_i^a, PZpow[j, b] =
+    pz_j^b).  The sum runs by Horner's rule in G, so the cost is two small
+    matrix products per power of G, not one grid pass per term.
+    """
+    table = _section_table(integral)
+    radicand = (
+        2.0 * (E - potential.value(0.0, z_vals))[:, None] - pz_vals[None, :] ** 2
+    )
     valid = radicand > 0.0
     G = np.where(valid, radicand, 0.0)
+    z_pow = np.vander(z_vals, table.shape[1], increasing=True)
+    pz_pow = np.vander(pz_vals, table.shape[2], increasing=True)
     values = np.zeros_like(G)
-    for m, a, b, c in _section_terms(integral):
-        values += c * G**m * Z**a * PZ**b
+    for c_m in table[::-1]:
+        values = values * G + z_pow @ c_m @ pz_pow.T
     values[~valid] = np.nan
     return values, valid
 
@@ -241,9 +273,7 @@ def section_levels(
     SeedOutsideCZVError
         For seeds outside the energetically allowed section domain.
     """
-    from .model import build_builtin_model
-
-    V = build_builtin_model() if potential is None else potential
+    V = resolve_potential(potential)
     box = GridSpec.from_energy(E) if grid is None else grid
     z_vals, pz_vals = box.axes()
     values, valid = _section_field(integral, E, z_vals, pz_vals, V)

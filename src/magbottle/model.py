@@ -142,6 +142,11 @@ def build_builtin_model() -> PotentialSpec:
     return PotentialSpec(_BUILTIN_TERMS, source="builtin")
 
 
+def resolve_potential(potential: PotentialSpec | None) -> PotentialSpec:
+    """The given potential, or the builtin model when it is None."""
+    return build_builtin_model() if potential is None else potential
+
+
 def potential_to_text(spec: PotentialSpec) -> str:
     """Render a potential in the grammar accepted by :func:`parse_potential`.
 

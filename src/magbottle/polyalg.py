@@ -359,14 +359,54 @@ class CanonicalPolynomial:
             a if b is None else b if a is None else min(a, b),
         )
 
+    def _within(self, trunc_order, degree_cap, transverse_cap):
+        """(keys, coeffs) of the terms that tighter bounds keep.
+
+        The terms already lie within this polynomial's own bounds, so only
+        a tighter bound is checked.
+        """
+        keys = self._keys
+        masks = []
+        if trunc_order < self.trunc_order:
+            masks.append(_bk_orders(keys) <= trunc_order)
+        if degree_cap < self.degree_cap:
+            masks.append(_degrees(keys) <= degree_cap)
+        if transverse_cap is not None and (
+            self.transverse_cap is None or transverse_cap < self.transverse_cap
+        ):
+            masks.append(_transverse_degrees(keys) <= transverse_cap)
+        if not masks:
+            return keys, self._coeffs
+        keep = np.logical_and.reduce(masks)
+        return keys[keep], self._coeffs[keep]
+
     def __add__(self, other):
+        """Sum under the tighter bounds of the two; each shared term adds the
+        coefficient of ``other`` to that of ``self``.
+
+        Both key arrays are sorted, so a stable sort of their concatenation
+        only merges two runs. Every sum starts from +0.0 and is pruned, as
+        a sort-and-merge of the concatenated terms would do.
+        """
         if not isinstance(other, CanonicalPolynomial):
             return NotImplemented
-        return CanonicalPolynomial(
-            np.concatenate([self._keys, other._keys]),
-            np.concatenate([self._coeffs, other._coeffs]),
-            *self._binary_bounds(other),
-        )
+        bounds = self._binary_bounds(other)
+        (fk, fc), (gk, gc) = self._within(*bounds), other._within(*bounds)
+        if not fk.size or not gk.size or fk[-1] < gk[0]:
+            # disjoint ranges, as when normalize reassembles a Hamiltonian
+            keys, coeffs = np.concatenate([fk, gk]), np.concatenate([fc, gc])
+        else:
+            keys = np.concatenate([fk, gk])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+            keys = keys[starts]
+            coeffs = np.add.reduceat(np.concatenate([fc, gc])[order], starts)
+        coeffs = coeffs + 0.0
+        keep = np.abs(coeffs) > PRUNE_TOL
+        if not keep.all():
+            keys, coeffs = keys[keep], coeffs[keep]
+        return CanonicalPolynomial(keys, coeffs, *bounds, _canonical=True)
 
     def __sub__(self, other):
         if not isinstance(other, CanonicalPolynomial):

@@ -6,7 +6,9 @@ dict-based polynomial arithmetic, sympy differentiation, exact rational
 with plain scipy. Slow and simple on purpose. Two references check an
 optimization of the package against its plain form instead: a Poincare
 section read off a global dense output, a composition that forms every
-monomial on its own, and a product that sums its raw terms by sorting them.
+monomial on its own, a product that sums its raw terms by sorting them, a
+sum that sorts the terms of both operands, a section field that adds one
+grid pass per term, and a field CSV formatted cell by cell.
 """
 
 from fractions import Fraction
@@ -429,3 +431,63 @@ def sorted_product(f, g):
             else:
                 acc.push(kk.ravel(), cc.ravel())
     return acc.result()
+
+
+def concatenated_sum(f, g):
+    """``f + g`` as one sort-and-merge of the terms of both operands.
+
+    The terms go to the constructor in f-then-g order, under the tighter
+    bounds of the two, so every shared term sums 0.0 + f + g and every sum
+    is pruned.
+    """
+    from magbottle.polyalg import CanonicalPolynomial
+
+    return CanonicalPolynomial(
+        np.concatenate([f._keys, g._keys]),
+        np.concatenate([f._coeffs, g._coeffs]),
+        *f._binary_bounds(g),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the section field, one grid pass per term
+# ---------------------------------------------------------------------------
+
+
+def per_term_section_field(integral, E, z_vals, pz_vals, potential):
+    """Phi on the section rho = 0 over the (z, p_z) meshgrid, term by term.
+
+    Collects the rho-free terms as c p_rho^(2m) z^a p_z^b and adds
+    c G^m Z^a PZ^b over the whole grid for each, with G = p_rho^2 =
+    2 (E - V(0, z)) - p_z^2.  Points with G <= 0 hold NaN.  Returns
+    (values, valid).
+    """
+    collected = {}
+    for key, coeff, _bk in integral.poly.term_items():
+        if key.k1:
+            continue
+        if key.l1 % 2:
+            raise ValueError("integral has odd p_rho powers on the section")
+        index = (key.l1 // 2, key.k2, key.l2)
+        collected[index] = collected.get(index, 0.0) + coeff.real
+    Z, PZ = np.meshgrid(z_vals, pz_vals, indexing="ij")
+    radicand = 2.0 * (E - potential.value(0.0, Z)) - PZ**2
+    valid = radicand > 0.0
+    G = np.where(valid, radicand, 0.0)
+    values = np.zeros_like(G)
+    for (m, a, b), c in collected.items():
+        values += c * G**m * Z**a * PZ**b
+    values[~valid] = np.nan
+    return values, valid
+
+
+def per_cell_field_lines(field):
+    """The (z, p_z, phi, valid) CSV lines of a section field, z-major, each
+    cell formatted on its own: ``repr`` of a float, ``str`` of the flag."""
+    lines = []
+    for i, z in enumerate(field.z_axis.tolist()):
+        for j, pz in enumerate(field.pz_axis.tolist()):
+            row = (z, pz, float(field.values[i, j]), int(field.valid[i, j]))
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            lines.append(",".join(cells) + "\n")
+    return "".join(lines)

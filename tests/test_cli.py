@@ -6,6 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from magbottle.cli import SCHEMA, _field_rows, _write_csv
+from magbottle.invariants import SectionLevelSet
+
+from oracles import per_cell_field_lines
+
 CLI = (sys.executable, "-m", "magbottle.cli")
 
 
@@ -64,6 +71,41 @@ def test_section_replay_is_byte_identical(tmp_path):
     run_cli("--config", out / "run_config.json")
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+def test_field_rows_match_per_cell_formatting(tmp_path):
+    # each axis value is formatted once and each z row written as one
+    # block; the bytes equal a per-cell repr of every value
+    z_axis = np.array([-0.5, -0.0, 1.0 / 3.0, 2.5e-7])
+    pz_axis = np.array([0.1, -1e16, 0.0, 123.456, 5e-324])
+    values = np.array(
+        [
+            [1.0, -0.0, np.nan, 0.1 + 0.2, -1e300],
+            [np.nan, np.nan, 2.0 / 3.0, 0.0, -7.25e-17],
+            [-0.0, 1e16, 3.0, np.nan, 1.5],
+            [4.0, -4.0, 0.0, -0.0, np.nan],
+        ]
+    )
+    valid = ~np.isnan(values)
+    valid[0, 2] = True  # a NaN inside the accessible region keeps its flag
+    field = SectionLevelSet(
+        energy=0.1,
+        seed=(0.0, 0.0),
+        level=0.0,
+        z_axis=z_axis,
+        pz_axis=pz_axis,
+        values=values,
+        valid=valid,
+    )
+    path = tmp_path / "field.csv"
+    _write_csv(path, ("z", "p_z", "phi", "valid"), _field_rows(field), "abc")
+    want = (
+        f"# schema={SCHEMA} config_sha256=abc\nz,p_z,phi,valid\n"
+        + per_cell_field_lines(field)
+    )
+    assert path.read_bytes() == want.encode()
+    for cell in ("\n-0.0,", ",-0.0,1\n", ",nan,0\n", ",nan,1\n"):
+        assert cell in want
 
 
 def test_section_empty_seed_file_warns_and_exits_zero(tmp_path):

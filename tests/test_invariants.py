@@ -11,6 +11,7 @@ from magbottle import invariants
 from magbottle.dynamics import integrate, section_seed_state
 from magbottle.errors import ModeError, NonRealIntegralError, SeedOutsideCZVError
 from magbottle.invariants import (
+    FormalIntegral,
     GridSpec,
     back_transform,
     level_set_components,
@@ -21,7 +22,7 @@ from magbottle.normform import normalize
 from magbottle.polyalg import CanonicalPolynomial, compose, to_records
 
 from conftest import truncated_view
-from oracles import per_term_compose
+from oracles import per_term_compose, per_term_section_field
 
 #: window bounding the 2:1 island chain at E = 0.2 (chain spans
 #: |z| <= 0.26, |p_z| <= 0.14; the series' trust region ends around
@@ -145,6 +146,53 @@ def test_section_field_validity_and_evenness(nf5):
     flipped = level.values[:, ::-1]
     both = level.valid & level.valid[:, ::-1]
     assert np.allclose(level.values[both], flipped[both], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "which, E, grid",
+    [
+        ("nf5", 0.1, GridSpec(-0.4, 0.4, -0.5, 0.5, 81, 81)),
+        ("res21_nf8", 0.2, GridSpec(-0.6, 0.6, -0.7, 0.7, 73, 91)),
+    ],
+)
+def test_section_field_matches_per_term_oracle(which, E, grid, builtin, request):
+    # the per-m matrix products and Horner's rule in G reorder the sums of
+    # the term-by-term field, so the two agree to rounding only
+    state = request.getfixturevalue(which)
+    if which == "res21_nf8":
+        state = truncated_view(state, 6)
+    phi = back_transform(state)
+    z, pz = grid.axes()
+    got, got_valid = invariants._section_field(phi, E, z, pz, builtin)
+    want, want_valid = per_term_section_field(phi, E, z, pz, builtin)
+    assert got.shape == (grid.n_z, grid.n_pz)
+    assert (got_valid == want_valid).all()
+    assert not want_valid.all()
+    assert np.isnan(got[~got_valid]).all()
+    scale = np.abs(want[want_valid]).max()
+    assert np.abs(got - want)[want_valid].max() <= 1e-12 * scale
+
+
+def _integral(terms):
+    poly = CanonicalPolynomial.from_terms(terms, trunc_order=2)
+    return FormalIntegral(poly=poly, mode="nonresonant", order=1)
+
+
+@pytest.mark.parametrize("terms", [[], [((2, 0, 1, 1), 1.5, 0)]])
+def test_section_field_without_rho_free_terms_is_zero(terms, builtin):
+    grid = GridSpec(-0.4, 0.4, -0.5, 0.5, 21, 23)
+    values, valid = invariants._section_field(
+        _integral(terms), 0.1, *grid.axes(), builtin
+    )
+    assert 0 < valid.sum() < valid.size
+    assert (values[valid] == 0.0).all()
+    assert np.isnan(values[~valid]).all()
+
+
+def test_section_field_rejects_odd_p_rho_powers(builtin):
+    odd = _integral([((0, 2, 0, 0), 1.0, 0), ((0, 1, 1, 0), 0.5, 1)])
+    with pytest.raises(ValueError, match="odd p_rho"):
+        section_levels(odd, 0.1, [(0.0, 0.05)], potential=builtin)
 
 
 def test_section_levels_share_one_field(nf5):

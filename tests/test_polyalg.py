@@ -21,7 +21,7 @@ from magbottle.polyalg import (
     to_records,
 )
 
-from oracles import sorted_product, sympy_bracket
+from oracles import concatenated_sum, sorted_product, sympy_bracket
 
 TOL = 1e-11
 
@@ -349,6 +349,58 @@ def test_prune_threshold_after_subtraction():
     b = make([((1, 1, 0, 0), 1.0 - 5e-15, 0)])
     assert (a - b).nterms == 0
     assert PRUNE_TOL == 1e-14
+
+
+_ADD_COEFFS = (1.0, -1.0, 0.5, 1.0 / 3.0, -2.5, 1e-14, 6e-15, 2.0**-40)
+
+_ADD_BOUNDS = st.tuples(
+    st.integers(2, 5), st.sampled_from([None, 5, 8]), st.sampled_from([None, 0, 2, 4])
+)
+
+
+def _add_operand(rng, bounds):
+    """Up to 24 drawn terms over bk orders 0-5, some with a zero imaginary
+    part (which negation turns into -0.0)."""
+    n = int(rng.integers(0, 25))
+    exps = rng.integers(0, 4, size=(n, 4))
+    pool = np.array(_ADD_COEFFS)
+    coeffs = rng.choice(pool, n) + 1j * rng.choice(pool, n) * rng.integers(0, 2, n)
+    bks = rng.integers(0, 6, n)
+    return CP.from_terms(
+        [(tuple(e), c, bk) for e, c, bk in zip(exps, coeffs, bks)], *bounds
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["free", "negated", "cancel", "split"]),
+    _ADD_BOUNDS,
+    _ADD_BOUNDS,
+)
+@example(0, "negated", (5, None, None), (5, None, None))
+@example(1, "cancel", (5, None, None), (3, 6, 2))
+@example(2, "split", (5, None, 2), (5, None, 2))
+@example(3, "free", (2, None, None), (5, 5, None))
+def test_add_equals_concatenated_reference(seed, relation, f_bounds, g_bounds):
+    # merging the two sorted key runs keeps the keys, bounds and coefficient
+    # bits of one sort-and-merge of both operands, in either order
+    rng = np.random.default_rng(seed)
+    f = _add_operand(rng, f_bounds)
+    if relation == "free":
+        g = _add_operand(rng, g_bounds)
+    elif relation == "negated":
+        g = -_add_operand(rng, g_bounds)
+    elif relation == "cancel":
+        g = -f.copy(*g_bounds)
+    else:
+        # disjoint bk ranges, as normalize reassembles a Hamiltonian
+        lo = int(rng.integers(0, 6))
+        f, g = f.restrict_bk(0, lo - 1), f.restrict_bk(lo, 5)
+    for a, b in ((f, g), (g, f)):
+        _assert_bitwise_equal(a + b, concatenated_sum(a, b))
+    if relation == "cancel":
+        assert (f + g).nterms == 0
 
 
 def test_derivative():
