@@ -40,7 +40,6 @@ from .errors import (
 )
 from .model import PreparedHamiltonian, critical_energy
 from .normform import equatorial_energy_series, extract_omega2_squared, normalize
-from .polyalg import _bk_orders, _exponents
 
 __all__ = [
     "RemainderNormTable",
@@ -76,13 +75,12 @@ def _aggregate_slice(poly, lo, hi):
     if part.nterms == 0:
         empty = np.empty(0)
         return empty.astype(int), empty.astype(int), empty.astype(int), empty.astype(int), empty
-    k1, l1, k2, l2 = _exponents(part._keys)
-    s = _bk_orders(part._keys)
+    k1, l1, k2, l2, s, coeffs = part.term_arrays()
     d1 = (k1.astype(int) + l1) // 2
     d2 = (k2.astype(int) + l2) // 2
     packed = ((s.astype(np.int64) * 256 + d1) * 256 + k2) * 256 + d2
     uniq, inverse = np.unique(packed, return_inverse=True)
-    weight = np.bincount(inverse, weights=np.abs(part._coeffs))
+    weight = np.bincount(inverse, weights=np.abs(coeffs))
     d2u = uniq % 256
     k2u = (uniq // 256) % 256
     d1u = (uniq // 256**2) % 256

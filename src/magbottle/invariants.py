@@ -29,13 +29,7 @@ from scipy import ndimage
 
 from .errors import NonRealIntegralError, SeedOutsideCZVError
 from .model import PotentialSpec, Resonance, resolve_potential
-from .polyalg import (
-    CanonicalPolynomial,
-    _exponents,
-    compose,
-    evaluate,
-    lie_transform,
-)
+from .polyalg import CanonicalPolynomial, evaluate, compose, lie_transform
 
 __all__ = [
     "FormalIntegral",
@@ -216,7 +210,7 @@ def _section_table(integral: FormalIntegral):
     ascending order.  An integral without rho-free terms gives a 1x1x1
     zero table.
     """
-    k1, l1, k2, l2 = _exponents(integral.poly._keys)
+    k1, l1, k2, l2, _, coeffs = integral.poly.term_arrays()
     on = k1 == 0
     if np.any(l1[on] % 2):
         raise ValueError(
@@ -226,10 +220,8 @@ def _section_table(integral: FormalIntegral):
     index = (l1[on] // 2, k2[on], l2[on])
     shape = tuple(int(e.max(initial=0)) + 1 for e in index)
     cells = np.ravel_multi_index(index, shape)
-    weights = integral.poly._coeffs.real[on]
-    return np.bincount(cells, weights=weights, minlength=math.prod(shape)).reshape(
-        shape
-    )
+    table = np.bincount(cells, weights=coeffs.real[on], minlength=math.prod(shape))
+    return table.reshape(shape)
 
 
 def _section_field(integral, E, z_vals, pz_vals, potential):

@@ -274,15 +274,19 @@ class CanonicalPolynomial:
         (k1, l1, k2, l2, bk)."""
         if self.nterms == 0:
             return
-        k1, l1, k2, l2 = _exponents(self._keys)
-        bk = _bk_orders(self._keys)
+        k1, l1, k2, l2, bk, coeffs = self.term_arrays()
         order = np.lexsort((bk, l2, k2, l1, k1))
         for i in order:
             yield (
                 ExponentKey(int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i])),
-                complex(self._coeffs[i]),
+                complex(coeffs[i]),
                 int(bk[i]),
             )
+
+    def term_arrays(self):
+        """Return ``(k1, l1, k2, l2, bk, coeffs)``, one array entry per term,
+        in storage order (ascending bk)."""
+        return (*_exponents(self._keys), _bk_orders(self._keys), self._coeffs)
 
     def as_dict(self):
         """Return ``{(k1, l1, k2, l2, bk): coeff}``."""
@@ -392,16 +396,13 @@ class CanonicalPolynomial:
             return NotImplemented
         bounds = self._binary_bounds(other)
         (fk, fc), (gk, gc) = self._within(*bounds), other._within(*bounds)
-        if not fk.size or not gk.size or fk[-1] < gk[0]:
-            # disjoint ranges, as when normalize reassembles a Hamiltonian
-            keys, coeffs = np.concatenate([fk, gk]), np.concatenate([fc, gc])
-        else:
-            keys = np.concatenate([fk, gk])
+        keys, coeffs = np.concatenate([fk, gk]), np.concatenate([fc, gc])
+        if fk.size and gk.size:
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
             starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
             keys = keys[starts]
-            coeffs = np.add.reduceat(np.concatenate([fc, gc])[order], starts)
+            coeffs = np.add.reduceat(coeffs[order], starts)
         coeffs = coeffs + 0.0
         keep = np.abs(coeffs) > PRUNE_TOL
         if not keep.all():
