@@ -148,8 +148,23 @@ def _constant_value(value, action):
     return value
 
 
-def _omega2sq_from_series(series):
+def _power_series(series):
+    """``{n: c}`` as the function I -> sum c I^n, summed in ascending n."""
     return functools.partial(_series_value, tuple(sorted(series.items())))
+
+
+def _norm_scales(state):
+    """(omega_ref, omega2sq) of the remainder norm of a normalized state.
+
+    The action is measured in units of the in-plane frequency the form is
+    built at; omega2sq is the series of the nonresonant normal form, or the
+    constant (omega2*)^2 of the resonant one.
+    """
+    prepared = state.prepared
+    if state.mode == "resonant":
+        res = prepared.resonance
+        return res.omega1, functools.partial(_constant_value, res.omega2**2)
+    return prepared.omega10, _power_series(extract_omega2_squared(state))
 
 
 def capture_remainder_profile(
@@ -162,14 +177,7 @@ def capture_remainder_profile(
         slices[r] = _aggregate_slice(ham, r + 1, N)
 
     state = normalize(prepared, r_max=N - 1, r_trunc=N, step_callback=snap)
-    if prepared.mode == "resonant":
-        omega2_star = prepared.resonance.omega2
-        omega2sq = functools.partial(_constant_value, omega2_star**2)
-        omega_ref = prepared.resonance.omega1
-    else:
-        omega2sq = _omega2sq_from_series(extract_omega2_squared(state))
-        omega_ref = prepared.omega10
-    return RemainderProfile(prepared.mode, omega_ref, omega2sq, N, slices)
+    return RemainderProfile(prepared.mode, *_norm_scales(state), N, slices)
 
 
 def remainder_norm(state, r, N, E, delta_E, beta=0.0) -> float:
@@ -194,17 +202,9 @@ def remainder_norm(state, r, N, E, delta_E, beta=0.0) -> float:
         raise RangeError(f"need r < N <= {state.r_trunc}, got N={N}")
     if not 0.0 <= delta_E < E:
         raise RangeError(f"need 0 <= delta_E < E, got delta_E={delta_E}, E={E}")
-    if state.mode == "resonant":
-        res = state.prepared.resonance
-        omega2sq = lambda action: res.omega2**2  # noqa: E731
-        omega_ref = res.omega1
-    else:
-        omega2sq = _omega2sq_from_series(extract_omega2_squared(state))
-        omega_ref = state.prepared.omega10
     profile = RemainderProfile(
         state.mode,
-        omega_ref,
-        omega2sq,
+        *_norm_scales(state),
         N,
         {r: _aggregate_slice(state.hamiltonian, r + 1, N)},
     )
@@ -325,19 +325,6 @@ class BifurcationResult:
     energy: float
 
 
-def _series_functions(energy_series, omega2_series):
-    def Z_eq(I):
-        return sum(c * I**n for n, c in energy_series.items())
-
-    def omega1_eq(I):
-        return sum(n * c * I ** (n - 1) for n, c in energy_series.items())
-
-    def omega2sq(I):
-        return sum(c * I**n for n, c in omega2_series.items())
-
-    return Z_eq, omega1_eq, omega2sq
-
-
 def _action_ceiling(Z_eq, omega1_eq, e_crit):
     """Largest action the series can be trusted on: the equatorial energy
     reaching the escape threshold or the series turning over, whichever
@@ -349,7 +336,9 @@ def _action_ceiling(Z_eq, omega1_eq, e_crit):
 
 
 def _solve_resonance(energy_series, omega2_series, m1, m2, e_crit):
-    Z_eq, omega1_eq, omega2sq = _series_functions(energy_series, omega2_series)
+    Z_eq = _power_series(energy_series)
+    omega1_eq = _power_series({n - 1: n * c for n, c in energy_series.items()})
+    omega2sq = _power_series(omega2_series)
 
     def detune(I):
         return m2 * omega1_eq(I) - m1 * math.sqrt(omega2sq(I))

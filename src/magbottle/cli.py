@@ -83,7 +83,8 @@ class RunConfig:
     """One validated batch request; persisted verbatim for provenance.
 
     Fields not used by the requested subcommand stay at their defaults so
-    a persisted config can be replayed without special-casing.
+    a persisted config can be replayed without special-casing.  The parser
+    sets no defaults of its own, so an omitted option takes the one here.
     """
 
     subcommand: str
@@ -100,7 +101,6 @@ class RunConfig:
     order_cap: int = 20
     seed_file: str | None = None
     out: str = "magbottle_out"
-    threads: int = 1
     grid_n: int = 400
     n_crossings: int = 60
     pairs: tuple = ((3, 1), (2, 1))
@@ -130,8 +130,6 @@ class RunConfig:
             raise ConfigError("--grid-n must be >= 16")
         if self.n_crossings < 0:
             raise ConfigError("--n-crossings must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         return self
 
     def canonical_json(self) -> str:
@@ -395,7 +393,7 @@ def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str):
         entry = dict(_bifurcation_dict(bif), order=locator.r)
         if config.numeric:
             entry["numeric_energy"] = numerical_bifurcation_energy(
-                m1, m2, potential=spec
+                m1, m2, potential=spec, tol=config.tol
             )
         results.append(entry)
     _write_json(out / "bifurcations.json", {"bifurcations": results}, config_hash)
@@ -406,7 +404,7 @@ def cmd_chaos_threshold(config: RunConfig, out: Path, config_hash: str):
     payload = {}
     reference = None
     if config.numeric:
-        reference = numerical_bifurcation_energy(1, 1, potential=spec)
+        reference = numerical_bifurcation_energy(1, 1, potential=spec, tol=config.tol)
         payload["numeric_E_t"] = reference
     state = _series_state(spec, config.order_max, max(config.order_max, 1))
     table = chaos_threshold_convergence(
@@ -432,36 +430,27 @@ _COMMANDS = {
 
 
 def _add_common(sub):
-    sub.add_argument("--out", default="magbottle_out", help="output directory")
+    sub.add_argument("--out", help="output directory")
     sub.add_argument(
         "--potential",
-        default=None,
         help="potential definition file (default: builtin magnetic bottle)",
     )
     sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved for internal parallelism; recorded in run_config.json",
-    )
-    sub.add_argument(
         "--seed-file",
-        default=None,
         help="text file of 'z p_z' section seeds, one per line, # comments",
     )
-    sub.add_argument("--tol", type=float, default=1e-11, help="integrator tolerance")
+    sub.add_argument(
+        "--tol", type=float, help="integrator and monodromy bisection tolerance"
+    )
 
 
 def _add_mode(sub):
-    sub.add_argument(
-        "--mode", choices=("nonres", "res"), default="nonres", help="normal-form mode"
-    )
-    sub.add_argument("--m1", type=int, default=2, help="resonance numerator")
-    sub.add_argument("--m2", type=int, default=1, help="resonance denominator")
+    sub.add_argument("--mode", choices=("nonres", "res"), help="normal-form mode")
+    sub.add_argument("--m1", type=int, help="resonance numerator")
+    sub.add_argument("--m2", type=int, help="resonance denominator")
     sub.add_argument(
         "--locator-order",
         type=int,
-        default=8,
         help="nonresonant order used to locate the resonance (res mode)",
     )
 
@@ -474,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--config",
-        default=None,
         help="replay a persisted run_config.json (overrides the subcommand line)",
     )
     subs = parser.add_subparsers(dest="subcommand")
@@ -482,18 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("normalize", help="build and serialize a normal form")
     _add_common(p)
     _add_mode(p)
-    p.add_argument("--order", type=int, default=5, help="normalization order r")
-    p.add_argument(
-        "--trunc", type=int, default=None, help="truncation order (default order+1)"
-    )
+    p.add_argument("--order", type=int, help="normalization order r")
+    p.add_argument("--trunc", type=int, help="truncation order (default order+1)")
 
     p = subs.add_parser(
         "section", help="numeric crossings vs theoretical level sets"
     )
     _add_common(p)
     _add_mode(p)
-    p.add_argument("--order", type=int, default=5, help="normalization order r")
-    p.add_argument("--trunc", type=int, default=None)
+    p.add_argument("--order", type=int, help="normalization order r")
+    p.add_argument("--trunc", type=int)
     p.add_argument(
         "--energy",
         type=float,
@@ -501,15 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="energies",
         help="section energy (repeatable; default 0.1)",
     )
-    p.add_argument("--n-crossings", type=int, default=60)
-    p.add_argument("--grid-n", type=int, default=400, help="level-set grid resolution")
+    p.add_argument("--n-crossings", type=int)
+    p.add_argument("--grid-n", type=int, help="level-set grid resolution")
 
     p = subs.add_parser("asymptotics", help="remainder-norm scan and fits")
     _add_common(p)
     _add_mode(p)
-    p.add_argument(
-        "--order-cap", type=int, default=20, help="truncation cap N of the scan"
-    )
+    p.add_argument("--order-cap", type=int, help="truncation cap N of the scan")
     p.add_argument(
         "--energy",
         type=float,
@@ -517,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="energies",
         help="scan energy (repeatable; default 0.2)",
     )
-    p.add_argument("--beta", type=float, default=0.0, help="magnetic moment parameter")
+    p.add_argument("--beta", type=float, help="magnetic moment parameter")
     p.add_argument(
         "--delta-e",
         type=float,
@@ -536,9 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="pairs",
         help="resonance m1:m2 (repeatable; default 3:1 and 2:1)",
     )
-    p.add_argument(
-        "--locator-order", type=int, default=8, help="series order for the solve"
-    )
+    p.add_argument("--locator-order", type=int, help="series order for the solve")
     p.add_argument(
         "--no-numeric",
         action="store_false",
@@ -550,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos-threshold", help="1:1 transition energy, numeric and per order"
     )
     _add_common(p)
-    p.add_argument("--order-min", type=int, default=10)
-    p.add_argument("--order-max", type=int, default=10)
+    p.add_argument("--order-min", type=int)
+    p.add_argument("--order-max", type=int)
     p.add_argument(
         "--no-numeric",
         action="store_false",
@@ -584,9 +566,8 @@ def _config_from_args(args) -> RunConfig:
         if key not in fields or value is None:
             continue
         values[key] = value
-    if values.get("pairs") is not None and args.subcommand == "bifurcation":
-        raw = vars(args).get("pairs")
-        values["pairs"] = _parse_pairs(raw) if raw else ((3, 1), (2, 1))
+    if "pairs" in values:
+        values["pairs"] = _parse_pairs(values["pairs"])
     if "energies" in values:
         values["energies"] = tuple(values["energies"])
     elif args.subcommand == "section":

@@ -27,7 +27,7 @@ from .errors import (
     NoBifurcationInRange,
     SeedOutsideCZVError,
 )
-from .model import PotentialSpec, critical_energy, resolve_potential
+from .model import PotentialSpec, critical_energy, equatorial_roots, resolve_potential
 
 __all__ = [
     "OrbitState",
@@ -139,13 +139,13 @@ class MonodromyResult:
 
 def _rhs_factory(potential: PotentialSpec):
     """Plain-float equations of motion, specialized to the potential."""
-    rho_terms = []
-    z_terms = []
-    for (a, b), c in potential.as_dict().items():
-        if a:
-            rho_terms.append((a - 1, b, c * a))
-        if b:
-            z_terms.append((a, b - 1, c * b))
+    # flat (a, b, c) tuples: the loops below run once per integrator stage
+    rho_terms = [
+        (a, b, c) for (a, b), c in potential.derivative(1, 0).as_dict().items()
+    ]
+    z_terms = [
+        (a, b, c) for (a, b), c in potential.derivative(0, 1).as_dict().items()
+    ]
 
     def rhs(_t, y):
         rho, z, prho, pz = y
@@ -316,24 +316,13 @@ def equatorial_turning_point(E: float, potential: PotentialSpec | None = None):
     """Inner-branch turning radius of the equatorial orbit: V(rho, 0) = E."""
     V = resolve_potential(potential)
     e_crit = critical_energy(V)
-    if not 0.0 < E < e_crit:
+    shifted = V.as_dict()
+    shifted[(0, 0)] = shifted.get((0, 0), 0.0) - E
+    # below the lowest barrier the profile first meets E on the inner branch
+    roots = equatorial_roots(PotentialSpec(shifted))
+    if not 0.0 < E < e_crit or not roots:
         raise ValueError(f"energy {E} outside the bound range (0, {e_crit:.6g})")
-    profile = {a: c for (a, b), c in V.as_dict().items() if b == 0}
-    deriv = {a: a * c for a, c in profile.items()}
-
-    def dprofile(rho):
-        return sum(c * rho ** (a - 1) for a, c in deriv.items())
-
-    # the barrier radius bounds the inner branch
-    rho_hi = 1.0
-    while dprofile(rho_hi) > 0.0:
-        rho_hi *= 1.5
-        if rho_hi > 1e6:
-            break
-    rho_barrier = (
-        brentq(dprofile, 1e-9, rho_hi) if dprofile(rho_hi) <= 0.0 else rho_hi
-    )
-    return brentq(lambda rho: V.value(rho, 0.0) - E, 1e-12, rho_barrier)
+    return roots[0]
 
 
 def central_orbit_monodromy(
@@ -351,8 +340,8 @@ def central_orbit_monodromy(
     """
     V = resolve_potential(potential)
     rho_max = equatorial_turning_point(E, V)
-    rho_terms = [(a - 1, c * a) for (a, b), c in V.as_dict().items() if b == 0 and a]
-    zz_terms = [(a, 2.0 * c) for (a, b), c in V.as_dict().items() if b == 2]
+    rho_terms = [(a, c) for (a, b), c in V.derivative(1, 0).as_dict().items() if b == 0]
+    zz_terms = [(a, c) for (a, b), c in V.derivative(0, 2).as_dict().items() if b == 0]
 
     def rhs(_t, y):
         rho, prho, dz1, dp1, dz2, dp2 = y

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import NonRealIntegralError, SeedOutsideCZVError
+from .dynamics import section_seed_state
+from .errors import NonRealIntegralError
 from .model import PotentialSpec, Resonance, resolve_potential
 from .polyalg import CanonicalPolynomial, evaluate, compose, lie_transform
 
@@ -271,14 +272,8 @@ def section_levels(
     values, valid = _section_field(integral, E, z_vals, pz_vals, V)
     out = []
     for z0, pz0 in seeds:
-        radicand = 2.0 * (E - V.value(0.0, z0)) - pz0**2
-        if radicand <= 0.0:
-            raise SeedOutsideCZVError(
-                f"section seed (z={z0}, p_z={pz0}) is not accessible at E={E}"
-            )
-        level = float(
-            integral.evaluate(0.0, z0, math.sqrt(radicand), pz0)
-        )
+        lifted = section_seed_state(z0, pz0, E, V)
+        level = float(integral.evaluate(0.0, z0, lifted.p_rho, pz0))
         out.append(
             SectionLevelSet(
                 energy=E,

@@ -87,39 +87,42 @@ class PotentialSpec:
 
     def value(self, rho, z):
         """Evaluate V; broadcasts over array inputs."""
-        return self._accumulate(rho, z, lambda a, b, c, r, zz: c * r**a * zz**b)
-
-    def partial_rho(self, rho, z):
-        """dV/drho; broadcasts over array inputs."""
-        return self._accumulate(
-            rho, z, lambda a, b, c, r, zz: c * a * r ** (a - 1) * zz**b if a else None
-        )
-
-    def partial_z(self, rho, z):
-        """dV/dz; broadcasts over array inputs."""
-        return self._accumulate(
-            rho, z, lambda a, b, c, r, zz: c * b * r**a * zz ** (b - 1) if b else None
-        )
-
-    def partial_zz(self, rho, z):
-        """d2V/dz2; broadcasts over array inputs."""
-        return self._accumulate(
-            rho,
-            z,
-            lambda a, b, c, r, zz: c * b * (b - 1) * r**a * zz ** (b - 2)
-            if b >= 2
-            else None,
-        )
-
-    def _accumulate(self, rho, z, term):
         rho = np.asarray(rho, dtype=float)
         z = np.asarray(z, dtype=float)
         out = np.zeros(np.broadcast(rho, z).shape)
         for (a, b), c in self._terms.items():
-            contrib = term(a, b, c, rho, z)
-            if contrib is not None:
-                out = out + contrib
+            out = out + c * rho**a * z**b
         return float(out) if out.ndim == 0 else out
+
+    def derivative(self, n_rho, n_z):
+        """V differentiated ``n_rho`` times in rho and ``n_z`` times in z.
+
+        Each coefficient is multiplied by its exponents one at a time,
+        c * a * (a - 1) ... then * b * (b - 1) ..., so every caller forms
+        the same bits.
+        """
+        terms = {}
+        for (a, b), c in self._terms.items():
+            if a < n_rho or b < n_z:
+                continue
+            for k in range(n_rho):
+                c = c * (a - k)
+            for k in range(n_z):
+                c = c * (b - k)
+            terms[(a - n_rho, b - n_z)] = c
+        return PotentialSpec(terms, source=self.source)
+
+    def partial_rho(self, rho, z):
+        """dV/drho; broadcasts over array inputs."""
+        return self.derivative(1, 0).value(rho, z)
+
+    def partial_z(self, rho, z):
+        """dV/dz; broadcasts over array inputs."""
+        return self.derivative(0, 1).value(rho, z)
+
+    def partial_zz(self, rho, z):
+        """d2V/dz2; broadcasts over array inputs."""
+        return self.derivative(0, 2).value(rho, z)
 
     def __eq__(self, other):
         if not isinstance(other, PotentialSpec):
@@ -356,6 +359,23 @@ def parse_potential(text: str) -> PotentialSpec:
     return PotentialSpec(_Parser(text).parse(), source="parsed")
 
 
+def equatorial_roots(spec: PotentialSpec) -> list:
+    """Positive real roots of the equatorial profile V(rho, 0), ascending.
+
+    Roots come from the companion-matrix eigenvalues (``np.roots``); a root
+    counts as real when its imaginary part is at most 1e-9.
+    """
+    profile = {a: c for (a, b), c in spec.as_dict().items() if b == 0}
+    coeffs = np.zeros(max(profile, default=0) + 1)  # highest power first
+    for a, c in profile.items():
+        coeffs[-1 - a] = c
+    return sorted(
+        float(root.real)
+        for root in np.roots(coeffs)
+        if abs(root.imag) <= 1e-9 and root.real > 1e-12
+    )
+
+
 def critical_energy(spec: PotentialSpec) -> float:
     """Energy of the lowest barrier of the equatorial profile V(rho, 0).
 
@@ -363,26 +383,15 @@ def critical_energy(spec: PotentialSpec) -> float:
     globally confining potential).  For the builtin model this is 16/27 at
     rho = sqrt(8/3).
     """
-    profile = {a: c for (a, b), c in spec.as_dict().items() if b == 0}
-    if not profile:
-        return math.inf
-    deg = max(profile)
-    dcoeffs = np.zeros(deg)  # d/drho, highest power first
-    for a, c in profile.items():
-        if a >= 1:
-            dcoeffs[deg - a] = a * c
-    roots = np.roots(dcoeffs)
-    barrier = math.inf
-    for root in roots:
-        if abs(root.imag) > 1e-9 or root.real <= 1e-12:
-            continue
-        rho = float(root.real)
-        curvature = sum(
-            c * a * (a - 1) * rho ** (a - 2) for a, c in profile.items() if a >= 2
-        )
-        if curvature < 0.0:
-            barrier = min(barrier, spec.value(rho, 0.0))
-    return barrier
+    curvature = spec.derivative(2, 0)
+    return min(
+        (
+            spec.value(rho, 0.0)
+            for rho in equatorial_roots(spec.derivative(1, 0))
+            if curvature.value(rho, 0.0) < 0.0
+        ),
+        default=math.inf,
+    )
 
 
 @dataclass(frozen=True)

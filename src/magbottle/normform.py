@@ -35,7 +35,6 @@ from .polyalg import (
 )
 
 __all__ = [
-    "DEFAULT_ORDER",
     "DEFAULT_TRUNC",
     "KernelSet",
     "NormalizationState",
@@ -46,7 +45,6 @@ __all__ = [
     "equatorial_energy_series",
 ]
 
-DEFAULT_ORDER = 15
 DEFAULT_TRUNC = 20
 
 #: absolute tolerance on the consistency entry of a k=l block

@@ -334,12 +334,10 @@ class CanonicalPolynomial:
         if self.nterms == 0:
             return
         bk = _bk_orders(self._keys)
-        orders = np.unique(bk)
-        bounds = np.searchsorted(bk, orders)
-        bounds = np.append(bounds, bk.size)
-        for i, s in enumerate(orders):
-            sl = slice(bounds[i], bounds[i + 1])
-            yield int(s), self._keys[sl], self._coeffs[sl]
+        # the keys are sorted with bk in the top bits, so each order is a run
+        bounds = np.flatnonzero(np.concatenate([[True], bk[1:] != bk[:-1], [True]]))
+        for i0, i1 in zip(bounds[:-1], bounds[1:]):
+            yield int(bk[i0]), self._keys[i0:i1], self._coeffs[i0:i1]
 
     def bk_part(self, s):
         """The sub-polynomial at book-keeping order ``s``."""

@@ -1,5 +1,6 @@
 """End-to-end tests of the batch command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -7,8 +8,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from magbottle.cli import SCHEMA, _field_rows, _write_csv
+from magbottle import cli
+from magbottle.cli import (
+    SCHEMA,
+    RunConfig,
+    _config_from_args,
+    _field_rows,
+    _write_csv,
+    build_parser,
+)
 from magbottle.invariants import SectionLevelSet
 
 from oracles import per_cell_field_lines
@@ -226,3 +236,46 @@ def test_chaos_threshold_table(tmp_path):
     assert [row["r"] for row in payload["table"]] == [2, 3]
     energies = [row["energy"] for row in payload["table"]]
     assert energies[0] > energies[1] > 0.3
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    ["normalize", "section", "asymptotics", "bifurcation", "chaos-threshold"],
+)
+def test_bare_command_line_takes_the_run_config_defaults(subcommand):
+    config = _config_from_args(build_parser().parse_args([subcommand]))
+    want = RunConfig(subcommand=subcommand)
+    if subcommand == "section":
+        want = dataclasses.replace(want, energies=(0.1,))
+    assert config == want
+
+
+def test_config_with_an_unknown_key_is_refused(tmp_path, capsys):
+    # threads was recorded by earlier versions and is no longer a field
+    raw = json.loads(RunConfig("normalize", out=str(tmp_path / "run")).canonical_json())
+    raw["threads"] = 1
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "threads" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bifurcation", "--pair", "2:1", "--locator-order", "4"],
+        ["chaos-threshold", "--order-min", "2", "--order-max", "2"],
+    ],
+)
+def test_tol_reaches_the_monodromy_bisection(tmp_path, monkeypatch, argv):
+    seen = []
+
+    def bisection(m1, m2, potential=None, tol=None):
+        seen.append(tol)
+        return 0.3
+
+    monkeypatch.setattr(cli, "numerical_bifurcation_energy", bisection)
+    assert cli.main(argv + ["--tol", "1e-9", "--out", str(tmp_path / "run")]) == 0
+    assert seen == [1e-9]

@@ -1,6 +1,7 @@
 """Tests for orbit integration, sections, and central-orbit stability."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from magbottle.errors import (
     NoBifurcationInRange,
     SeedOutsideCZVError,
 )
-from magbottle.model import build_builtin_model, critical_energy, parse_potential
+from magbottle.model import (
+    PotentialSpec,
+    build_builtin_model,
+    critical_energy,
+    parse_potential,
+)
 
 from oracles import dense_section_reference
 
@@ -147,6 +153,15 @@ def test_section_counts_seeds_given_as_an_iterator():
     assert np.array_equal(streamed.points, listed.points)
 
 
+def test_rhs_is_the_force_of_the_potential_bitwise():
+    V = build_builtin_model()
+    rhs = dynamics._rhs_factory(V)
+    for y in ((0.3, 0.2, 0.1, -0.05), (1.4, -0.9, 0.0, 0.7), (-0.8, 1.7, -0.2, 0.0)):
+        rho, z, prho, pz = y
+        want = (prho, pz, -V.partial_rho(rho, z), -V.partial_z(rho, z))
+        assert rhs(0.0, y) == want
+
+
 @pytest.mark.parametrize(
     "E, seed",
     [(0.1, (0.25, 0.0)), (0.1, (0.1, 0.05)), (0.2, (0.3, 0.0)), (0.2, (0.0, 0.2))],
@@ -220,6 +235,37 @@ def test_turning_point_inverts_the_profile():
         equatorial_turning_point(0.0)
     with pytest.raises(ValueError):
         equatorial_turning_point(critical_energy(V) + 0.01)
+
+
+def _jittered_builtin(rng):
+    V = build_builtin_model()
+    return PotentialSpec(
+        {
+            key: c if key == (2, 0) else c * (1.0 + rng.uniform(-0.05, 0.05))
+            for key, c in V.as_dict().items()
+        }
+    )
+
+
+def test_turning_point_is_a_root_to_rounding():
+    rng = random.Random(11)
+    potentials = [build_builtin_model()] + [_jittered_builtin(rng) for _ in range(3)]
+    for V in potentials:
+        assert critical_energy(V) > 0.5
+        for E in (1e-3, 0.05, 0.2, 0.5):
+            rho_t = equatorial_turning_point(E, V)
+            assert abs(V.value(rho_t, 0.0) - E) <= 1e-14
+            # the inner branch: the profile still rises at rho_t
+            assert V.partial_rho(rho_t, 0.0) > 0.0
+
+
+def test_turning_point_of_a_confining_well():
+    V = parse_potential("0.5*rho^2 + 0.1*rho^4")
+    assert critical_energy(V) == math.inf
+    rho_t = equatorial_turning_point(0.2, V)
+    want = math.sqrt((math.sqrt(0.25 + 4.0 * 0.1 * 0.2) - 0.5) / (2.0 * 0.1))
+    assert rho_t == pytest.approx(want, abs=1e-15)
+    assert abs(V.value(rho_t, 0.0) - 0.2) <= 1e-15
 
 
 def test_monodromy_is_symplectic():

@@ -69,6 +69,46 @@ def test_partial_zz_on_equator():
     assert V.partial_zz(rho, 0.0) == pytest.approx(rho**2 - rho**4 / 8.0, abs=1e-14)
 
 
+def _term_by_term(V, n_rho, n_z, rho, z):
+    # each coefficient times its exponents, rho first, then the powers
+    out = np.zeros(np.broadcast(rho, z).shape)
+    for (a, b), c in V.as_dict().items():
+        if a < n_rho or b < n_z:
+            continue
+        for k in range(n_rho):
+            c = c * (a - k)
+        for k in range(n_z):
+            c = c * (b - k)
+        out = out + c * rho ** (a - n_rho) * z ** (b - n_z)
+    return out
+
+
+def test_derivative_matches_term_by_term_partials_bitwise():
+    V = build_builtin_model()
+    rho = np.linspace(-2.0, 2.0, 41)[:, None]
+    z = np.linspace(-1.5, 1.5, 31)[None, :]
+    for n_rho, n_z, partial in (
+        (1, 0, V.partial_rho),
+        (0, 1, V.partial_z),
+        (0, 2, V.partial_zz),
+        (2, 0, None),
+        (1, 2, None),
+    ):
+        got = V.derivative(n_rho, n_z).value(rho, z)
+        assert np.array_equal(got, _term_by_term(V, n_rho, n_z, rho, z))
+        if partial is not None:
+            assert np.array_equal(partial(rho, z), got)
+
+
+def test_derivative_past_the_degree_is_empty():
+    V = build_builtin_model()
+    for n_rho, n_z in ((7, 0), (0, 5), (3, 3)):
+        D = V.derivative(n_rho, n_z)
+        assert D.as_dict() == {}
+        assert D.value(0.7, -0.4) == 0.0
+    assert V.derivative(0, 0) == V
+
+
 # ------------------------------------------------------------------- parsing
 
 
