@@ -388,12 +388,14 @@ def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str):
     spec = _load_potential(config)
     locator = _locator(config, spec)
     results = []
+    # every pair scans the same energy grid, so each trace is computed once
+    traces = {}
     for m1, m2 in config.pairs:
         bif = bifurcation_energy(locator, m1, m2)
         entry = dict(_bifurcation_dict(bif), order=locator.r)
         if config.numeric:
             entry["numeric_energy"] = numerical_bifurcation_energy(
-                m1, m2, potential=spec, tol=config.tol
+                m1, m2, potential=spec, tol=config.tol, traces=traces
             )
         results.append(entry)
     _write_json(out / "bifurcations.json", {"bifurcations": results}, config_hash)

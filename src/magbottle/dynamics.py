@@ -388,6 +388,7 @@ def numerical_bifurcation_energy(
     bracket=(1e-3, 0.55),
     tol: float = 1e-11,
     xtol: float = 1e-10,
+    traces: dict | None = None,
 ) -> float:
     """Energy where the transverse rotation number reaches m2/m1.
 
@@ -397,15 +398,24 @@ def numerical_bifurcation_energy(
     Tr(M_half)(E) = 2 cos(pi m2/m1).  The 1:1 case lands exactly on the
     stability transition energy.
 
+    ``traces``, when given, maps energies to Tr(M_half); the scan reads it
+    and adds every trace it computes.  One dict shared by the calls for
+    several resonances, under the same ``potential`` and ``tol``,
+    integrates each energy of the common scan grid once.
+
     Raises
     ------
     NoBifurcationInRange
         If the target trace is not reached inside ``bracket``.
     """
     target = 2.0 * math.cos(math.pi * m2 / m1)
+    if traces is None:
+        traces = {}
 
     def f(E):
-        return _half_trace(E, tol, potential) - target
+        if E not in traces:
+            traces[E] = _half_trace(E, tol, potential)
+        return traces[E] - target
 
     # Tr(M_half) leaves (-2, 2) beyond the 1:1 transition and comes back at
     # higher energy (the orbit re-stabilizes), so scan for the first sign

@@ -79,6 +79,15 @@ class OrderOverflowError(MagbottleError):
     """Requested normalization order exceeds the truncation order."""
 
 
+class NonRealHamiltonianError(MagbottleError):
+    """A prepared Hamiltonian is not its own conjugate on its complex pairs.
+
+    The normalization forms one product per complex pair of each bracket
+    and takes the other as its conjugate, which holds for real functions
+    only.
+    """
+
+
 class NonRealIntegralError(MagbottleError):
     """Back-transformed integral has imaginary residue above tolerance."""
 

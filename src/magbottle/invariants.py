@@ -161,6 +161,11 @@ def back_transform(state) -> FormalIntegral:
     substitutes the inverse complexification.  Coefficients must come out
     real up to the arithmetic noise floor.
 
+    The pullback forms both products of every bracket, unlike
+    :func:`normalize`: the conjugate-product bracket assumes that each
+    generator is real and returns a real result whether it is or not, so
+    it would hide a corrupted generator from the check below.
+
     Raises
     ------
     ModeError

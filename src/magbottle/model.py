@@ -419,6 +419,12 @@ class PreparedHamiltonian:
     potential: PotentialSpec
     resonance: Resonance | None = None
 
+    @property
+    def complex_pairs(self):
+        """The pairs written in complex variables: (q1, p1), index 0, in
+        both modes, and (q2, p2), index 1, in resonant mode only."""
+        return (0,) if self.mode == "nonresonant" else (0, 1)
+
 
 def _validated_frequency(spec: PotentialSpec) -> float:
     for (a, b), _c in spec.as_dict().items():

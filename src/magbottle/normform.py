@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     InconsistentBlockError,
     ModeError,
+    NonRealHamiltonianError,
     NonRealIntegralError,
     OrderOverflowError,
     SmallDivisorError,
@@ -30,6 +31,7 @@ from .model import PreparedHamiltonian
 from .polyalg import (
     CanonicalPolynomial,
     _exponents,
+    conjugate,
     lie_transform,
     poisson_bracket,
 )
@@ -51,6 +53,8 @@ DEFAULT_TRUNC = 20
 BLOCK_TOL = 1e-12
 #: resonant solver refuses divisors below this magnitude
 DIVISOR_FLOOR = 1e-9
+#: largest |c - c*| of a prepared Hamiltonian, relative to its largest |c|
+REALITY_TOL = 1e-12
 
 _MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
@@ -299,6 +303,11 @@ def normalize(
     series at a fraction of the cost.  Readers of the whole polynomial
     (the back-transform, the remainder norm) refuse a capped state.
 
+    The Hamiltonian and every generator are real functions written in the
+    complex variables of ``prepared.complex_pairs``, so each bracket forms
+    one product per complex pair and takes the other as its conjugate (see
+    :func:`poisson_bracket`).
+
     ``step_callback(r, hamiltonian)``, when given, observes the working
     Hamiltonian after each step; it must not mutate it.
 
@@ -306,12 +315,23 @@ def normalize(
     ------
     OrderOverflowError
         If ``r_max > r_trunc``.
+    NonRealHamiltonianError
+        If ``prepared.poly`` differs from its conjugate by more than
+        ``REALITY_TOL`` of its largest coefficient.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
     if r_max > r_trunc:
         raise OrderOverflowError(
             f"normalization order {r_max} exceeds truncation order {r_trunc}"
+        )
+    pairs = prepared.complex_pairs
+    gap = (prepared.poly - conjugate(prepared.poly, pairs)).max_abs()
+    scale = prepared.poly.max_abs()
+    if gap > REALITY_TOL * scale:
+        raise NonRealHamiltonianError(
+            f"prepared Hamiltonian differs from its conjugate on pairs {pairs} "
+            f"by {gap:.3e} (largest coefficient {scale:.3e})"
         )
     kernel = KernelSet.for_prepared(prepared)
     ham = prepared.poly.copy(trunc_order=r_trunc, transverse_cap=transverse_cap)
@@ -334,9 +354,9 @@ def normalize(
                     prepared.resonance.m2,
                     divisor_floor,
                 )
-            residual = poisson_bracket(z0, chi) + htilde
+            residual = poisson_bracket(z0, chi, pairs) + htilde
             state.residuals.append((residual.max_abs(), htilde.max_abs()))
-            ham = lie_transform(ham, chi)
+            ham = lie_transform(ham, chi, complex_pairs=pairs)
             # replace the order-r slice with its exact kernel part
             ham = ham.restrict_bk(0, r - 1) + inside + ham.restrict_bk(r + 1, r_trunc)
         else:

@@ -63,6 +63,30 @@ The Poisson bracket follows the convention
 
 and Lie transforms ``exp(+-L_chi) f`` with ``L_chi f = {f, chi}`` terminate
 because a valid generator has minimum book-keeping order >= 1.
+
+Brackets of real polynomials
+----------------------------
+The models complexify (rho, p_rho), and in resonant mode (z, p_z) too, so
+that on the reality submanifold conj(q_j) = i p_j and conj(p_j) = i q_j on
+each complex pair. The conjugate f* (:func:`conjugate`) swaps the q_j and
+p_j exponents of those pairs and maps each coefficient c to i^n conj(c),
+where n is the term's degree in them; a real function is its own
+conjugate. Conjugation is multiplicative and (df/dq_j)* = -i d(f*)/dp_j,
+so for real f and g
+
+    df/dp_j dg/dq_j = -(df/dq_j dg/dp_j)*,
+
+and the bracket term of a complex pair is P_j + P_j* with P_j = df/dq_j
+dg/dp_j: one product instead of two. The phases i^n are exact, so each
+P_j + P_j* is its own conjugate bit for bit, and a bracket of two exactly
+real polynomials over complex pairs only is exactly real. The pieces are
+added pair by pair in the order of the generic bracket, P_0 + P_0* then
+the (q2, p2) piece: a sum of the two P_j conjugated once adds the same
+terms in another order, and that moves a coefficient of the 3:1 normal
+form (r=8, trunc 10) by 1.7e-10, past the rounding that the benchmark's
+reference check allows. The back-transform keeps both products of every
+pair: on a generator that is not real the identity forces a real result,
+which would hide the defect.
 """
 
 from __future__ import annotations
@@ -78,6 +102,7 @@ __all__ = [
     "PRUNE_TOL",
     "ExponentKey",
     "CanonicalPolynomial",
+    "conjugate",
     "poisson_bracket",
     "lie_transform",
     "compose",
@@ -103,6 +128,9 @@ _FLUSH_LIMIT = 1 << 23
 # "Products" above); set from timings of the benchmark's workloads
 _DENSE_MIN_RAW = 4096
 _DENSE_BOX_PER_RAW = 8
+
+# i^n for n mod 4; each product with one of them is exact
+_IPOW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
 class ExponentKey(NamedTuple):
@@ -686,27 +714,63 @@ def _multiply(f, g):
     return out._same_bounds(keys[order], coeffs)
 
 
-def poisson_bracket(f, g):
+def conjugate(f, pairs):
+    """The conjugate f* of ``f`` on the complexified ``pairs``.
+
+    ``pairs`` holds pair indices: 0 for (q1, p1), 1 for (q2, p2). Each term
+    c q_j^k p_j^l ... becomes i^n conj(c) q_j^l p_j^k ..., where n sums
+    k + l over ``pairs``; other pairs keep their exponents. A real
+    function written in those pairs' complex variables is its own
+    conjugate (see "Brackets of real polynomials" above). The swap keeps
+    every degree and book-keeping order, and |c| is unchanged, so the
+    result keeps the bounds of ``f`` and needs no pruning.
+    """
+    keys = f._keys
+    if keys.size == 0:
+        return f
+    swapped = keys.copy()
+    n = np.zeros(keys.size, dtype=np.int64)
+    for j in pairs:
+        lo, hi = _SHIFTS[2 * j], _SHIFTS[2 * j + 1]
+        k, l = (keys >> lo) & _FIELD, (keys >> hi) & _FIELD
+        swapped &= ~((_FIELD << lo) | (_FIELD << hi))
+        swapped |= l << lo | k << hi
+        n += k + l
+    coeffs = _IPOW[n & 3] * np.conj(f._coeffs)
+    order = np.argsort(swapped)
+    return f._same_bounds(swapped[order], coeffs[order])
+
+
+def poisson_bracket(f, g, complex_pairs=()):
     """Poisson bracket {f, g} over both degrees of freedom.
 
     The book-keeping order of each resulting term is the sum of the factor
     orders; terms beyond the common truncation are discarded.
+
+    ``complex_pairs`` names pairs (0 for (q1, p1), 1 for (q2, p2)) written
+    in complex variables on which ``f`` and ``g`` are both real. Each such
+    pair forms one product and takes the other as its conjugate (see
+    "Brackets of real polynomials" above); the default forms both products
+    of every pair.
     """
     out = None
-    for iq, ip in ((0, 1), (2, 3)):
-        piece = _multiply(f.derivative(iq), g.derivative(ip)) - _multiply(
-            f.derivative(ip), g.derivative(iq)
-        )
+    for j, (iq, ip) in enumerate(((0, 1), (2, 3))):
+        product = _multiply(f.derivative(iq), g.derivative(ip))
+        if j in complex_pairs:
+            piece = product + conjugate(product, complex_pairs)
+        else:
+            piece = product - _multiply(f.derivative(ip), g.derivative(iq))
         out = piece if out is None else out + piece
     return out
 
 
-def lie_transform(f, chi, inverse=False):
+def lie_transform(f, chi, inverse=False, complex_pairs=()):
     """Apply ``exp(L_chi)`` (or its inverse) to ``f``.
 
     ``exp(L_chi) f = sum_k (1/k!) L_chi^k f`` with ``L_chi f = {f, chi}``. The
     series terminates under truncation because every term of ``chi`` must
-    carry book-keeping order >= 1.
+    carry book-keeping order >= 1. Every bracket passes ``complex_pairs``
+    to :func:`poisson_bracket`, so ``f`` and ``chi`` must be real on them.
 
     Raises
     ------
@@ -722,7 +786,7 @@ def lie_transform(f, chi, inverse=False):
     term = f
     k = 1
     while term.nterms:
-        term = poisson_bracket(term, chi).scale(sign / k)
+        term = poisson_bracket(term, chi, complex_pairs).scale(sign / k)
         if term.nterms == 0:
             break
         out = out + term

@@ -7,8 +7,9 @@ with plain scipy. Slow and simple on purpose. Two references check an
 optimization of the package against its plain form instead: a Poincare
 section read off a global dense output, a composition that forms every
 monomial on its own, a product that sums its raw terms by sorting them, a
-sum that sorts the terms of both operands, a section field that adds one
-grid pass per term, and a field CSV formatted cell by cell.
+sum that sorts the terms of both operands, a bracket that forms both
+products of every pair, a section field that adds one grid pass per term,
+and a field CSV formatted cell by cell.
 """
 
 from fractions import Fraction
@@ -447,6 +448,35 @@ def concatenated_sum(f, g):
         np.concatenate([f._coeffs, g._coeffs]),
         *f._binary_bounds(g),
     )
+
+
+def four_product_bracket(f, g):
+    """{f, g} with both products of each pair, pair (q1, p1) first, each
+    pair's difference added to the sum in that order."""
+    from magbottle import polyalg
+
+    out = None
+    for iq, ip in ((0, 1), (2, 3)):
+        piece = polyalg._multiply(f.derivative(iq), g.derivative(ip)) - (
+            polyalg._multiply(f.derivative(ip), g.derivative(iq))
+        )
+        out = piece if out is None else out + piece
+    return out
+
+
+def term_conjugate(f, pairs):
+    """{(k1, l1, k2, l2, bk): coeff} of the conjugate of ``f``, term by term:
+    the exponents of each pair in ``pairs`` swap, and the coefficient c
+    becomes i^n conj(c) with n the degree of the term in those pairs."""
+    out = {}
+    for key, c, bk in f.term_items():
+        exps = list(key)
+        n = 0
+        for j in pairs:
+            n += exps[2 * j] + exps[2 * j + 1]
+            exps[2 * j], exps[2 * j + 1] = exps[2 * j + 1], exps[2 * j]
+        out[(*exps, bk)] = (1, 1j, -1, -1j)[n % 4] * c.conjugate()
+    return out
 
 
 # ---------------------------------------------------------------------------

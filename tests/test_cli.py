@@ -217,6 +217,33 @@ def test_bifurcation_locates_2to1(tmp_path):
     assert "numeric_energy" not in entry
 
 
+def test_bifurcation_pairs_share_the_monodromy_scan(tmp_path, monkeypatch):
+    # both pairs scan one energy grid; each energy is integrated once per
+    # command, and the energies are the ones each pair finds on its own
+    from magbottle import dynamics
+
+    energies = []
+    monodromy = dynamics.central_orbit_monodromy
+
+    def counted(E, *args, **kwargs):
+        energies.append(E)
+        return monodromy(E, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "central_orbit_monodromy", counted)
+    out = tmp_path / "run"
+    argv = ["bifurcation", "--pair", "3:1", "--pair", "2:1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    shared = list(energies)
+    energies.clear()
+    payload = json.loads((out / "bifurcations.json").read_text())
+    for entry in payload["bifurcations"]:
+        alone = dynamics.numerical_bifurcation_energy(entry["m1"], entry["m2"])
+        assert entry["numeric_energy"] == alone
+    # the separate scans repeat grid energies; the shared one does not
+    assert len(energies) > len(shared) == len(set(shared))
+    assert set(shared) == set(energies)
+
+
 def test_bifurcation_rejects_malformed_pair(tmp_path):
     proc = run_cli(
         "bifurcation", "--pair", "2-1", "--out", tmp_path / "run", check=False
@@ -272,7 +299,7 @@ def test_config_with_an_unknown_key_is_refused(tmp_path, capsys):
 def test_tol_reaches_the_monodromy_bisection(tmp_path, monkeypatch, argv):
     seen = []
 
-    def bisection(m1, m2, potential=None, tol=None):
+    def bisection(m1, m2, potential=None, tol=None, traces=None):
         seen.append(tol)
         return 0.3
 

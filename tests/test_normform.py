@@ -1,5 +1,6 @@
 """Tests for the homological solvers and the normalization driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from magbottle.errors import (
     InconsistentBlockError,
     ModeError,
+    NonRealHamiltonianError,
     OrderOverflowError,
     SmallDivisorError,
 )
@@ -28,6 +30,7 @@ from magbottle.normform import (
 from magbottle.polyalg import (
     CanonicalPolynomial,
     coefficient_distance,
+    conjugate,
     lie_transform,
     poisson_bracket,
 )
@@ -396,3 +399,59 @@ def test_resonant_z1_contains_detuning(res21):
     z1 = res21.Z[1]
     assert z1.coefficient(1, 1, 0, 0, bk=1) == pytest.approx(-1j * (0.93 - 1.0))
     assert z1.coefficient(0, 0, 1, 1, bk=1) == pytest.approx(-1j * 0.465 / 2.0)
+
+
+# -------------------------------------------------------------------- reality
+
+
+def conjugacy_gap(poly, pairs):
+    """Largest |c - c*| over the terms of ``poly`` and of its conjugate."""
+    other = conjugate(poly, pairs)
+    keys = np.union1d(poly._keys, other._keys)
+    gap = np.zeros(keys.size, dtype=complex)
+    gap[np.searchsorted(keys, poly._keys)] += poly._coeffs
+    gap[np.searchsorted(keys, other._keys)] -= other._coeffs
+    return float(np.abs(gap).max(initial=0.0))
+
+
+@pytest.fixture(scope="module")
+def nf16():
+    return normalize(complexify_nonresonant(build_builtin_model()), r_max=16,
+                     r_trunc=17)
+
+
+@pytest.mark.parametrize("name", ["nf8", "res21_nf8", "nf16"])
+def test_hamiltonian_and_generators_are_real(request, name):
+    # a real function in complex variables is its own conjugate
+    state = request.getfixturevalue(name)
+    pairs = state.prepared.complex_pairs
+    assert len(state.generators) == state.r
+    for poly in [state.hamiltonian, *state.generators]:
+        assert conjugacy_gap(poly, pairs) <= 1e-12 * poly.max_abs()
+
+
+def test_resonant_transform_is_exactly_real(res21_nf8):
+    # each bracket sums one product and its exact conjugate, so the
+    # resonant Hamiltonian and generators are their own conjugates bit for bit
+    pairs = res21_nf8.prepared.complex_pairs
+    for poly in [res21_nf8.hamiltonian, *res21_nf8.generators]:
+        other = conjugate(poly, pairs)
+        assert np.array_equal(other._keys, poly._keys)
+        assert np.array_equal(other._coeffs, poly._coeffs)
+
+
+@pytest.mark.parametrize("mode", ["nonresonant", "resonant"])
+def test_normalize_refuses_a_non_real_hamiltonian(mode):
+    spec = build_builtin_model()
+    if mode == "nonresonant":
+        prep = complexify_nonresonant(spec)
+    else:
+        prep = prepare_resonant(spec, 2, 1, I1_star=0.25, omega1=0.93,
+                                omega2=0.465)
+    # q1^3 p1 at bk 1 is real only together with its partner i^4 conj(c) q1 p1^3
+    c = prep.poly.coefficient(3, 1, 0, 0, bk=1)
+    bad = prep.poly + make([((3, 1, 0, 0), 1e-6 * abs(c) * 1j, 1)],
+                           trunc=prep.poly.trunc_order)
+    with pytest.raises(NonRealHamiltonianError):
+        normalize(dataclasses.replace(prep, poly=bad), r_max=1, r_trunc=2)
+    normalize(prep, r_max=1, r_trunc=2)

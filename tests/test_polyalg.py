@@ -14,6 +14,7 @@ from magbottle.polyalg import (
     CanonicalPolynomial as CP,
     coefficient_distance,
     compose,
+    conjugate,
     evaluate,
     from_records,
     lie_transform,
@@ -21,7 +22,13 @@ from magbottle.polyalg import (
     to_records,
 )
 
-from oracles import concatenated_sum, sorted_product, sympy_bracket
+from oracles import (
+    concatenated_sum,
+    four_product_bracket,
+    sorted_product,
+    sympy_bracket,
+    term_conjugate,
+)
 
 TOL = 1e-11
 
@@ -488,6 +495,69 @@ def test_bracket_bilinearity(f, g, h):
     lhs = poisson_bracket(f + g.scale(2.5), h)
     rhs = poisson_bracket(f, h) + poisson_bracket(g, h).scale(2.5)
     assert coefficient_distance(lhs, rhs) < TOL
+
+
+# ------------------------------------------------------ brackets of real polys
+
+
+def _real_poly(rng, n, pairs, bounds):
+    """f + f* of ``n`` drawn terms of mixed degree over bk groups 0-2: a
+    real function on the complex ``pairs``."""
+    f = _random_factor(rng, n, 3, 3, bounds)
+    return f + conjugate(f, pairs)
+
+
+def _is_self_conjugate(poly, pairs):
+    other = conjugate(poly, pairs)
+    return np.array_equal(other._keys, poly._keys) and np.array_equal(
+        other._coeffs, poly._coeffs
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0,), (0, 1)]),
+    st.sampled_from([(10, 12), (60, 120)]),
+    st.sampled_from([8, 10, 12]),
+    st.sampled_from([None, 2, 4]),
+)
+@example(7, (0, 1), (60, 120), 12, None)
+@example(8, (0,), (60, 120), 10, 2)
+def test_real_bracket_matches_four_product_bracket(seed, pairs, sizes, cap, tcap):
+    # the complex pairs form one product each and add its conjugate; the
+    # result agrees with both products to rounding, and it is exactly real
+    # when every pair is complex (a real pair sums two rounded products)
+    rng = np.random.default_rng(seed)
+    bounds = (3, cap, tcap)
+    f = _real_poly(rng, sizes[0], pairs, bounds)
+    g = _real_poly(rng, sizes[1], pairs, bounds)
+    assert _is_self_conjugate(f, pairs) and _is_self_conjugate(g, pairs)
+    generic = poisson_bracket(f, g)
+    _assert_bitwise_equal(generic, four_product_bracket(f, g))
+    real = poisson_bracket(f, g, pairs)
+    assert (real.trunc_order, real.degree_cap, real.transverse_cap) == (
+        generic.trunc_order, generic.degree_cap, generic.transverse_cap
+    )
+    scale = max(1.0, generic.max_abs())
+    assert coefficient_distance(real, generic) <= 1e-13 * scale
+    if pairs == (0, 1):
+        assert _is_self_conjugate(real, pairs)
+    else:
+        assert coefficient_distance(real, conjugate(real, pairs)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("pairs", [(), (0,), (1,), (0, 1)])
+def test_conjugate_swaps_pairs_and_turns_phases(pairs):
+    rng = np.random.default_rng(4)
+    f = _random_factor(rng, 40, 5, 3, (4, 18, 8))
+    got = conjugate(f, pairs)
+    assert (got.trunc_order, got.degree_cap, got.transverse_cap) == (4, 18, 8)
+    assert got._keys.tolist() == sorted(got._keys.tolist())
+    assert got.as_dict() == term_conjugate(f, pairs)
+    twice = conjugate(got, pairs)
+    assert np.array_equal(twice._keys, f._keys)
+    assert np.array_equal(twice._coeffs, f._coeffs)
 
 
 # ------------------------------------------------------------- Lie transform
