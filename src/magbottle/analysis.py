@@ -200,8 +200,6 @@ def remainder_norm(state, r, N, E, delta_E, beta=0.0) -> float:
         raise RangeError(f"state is normalized to r={state.r}, not r={r}")
     if not r < N <= state.r_trunc:
         raise RangeError(f"need r < N <= {state.r_trunc}, got N={N}")
-    if not 0.0 <= delta_E < E:
-        raise RangeError(f"need 0 <= delta_E < E, got delta_E={delta_E}, E={E}")
     profile = RemainderProfile(
         state.mode,
         *_norm_scales(state),

@@ -83,8 +83,9 @@ class RunConfig:
     """One validated batch request; persisted verbatim for provenance.
 
     Fields not used by the requested subcommand stay at their defaults so
-    a persisted config can be replayed without special-casing.  The parser
-    sets no defaults of its own, so an omitted option takes the one here.
+    a persisted config can be replayed without special-casing.  An omitted
+    option takes the default here, with one exception: ``section`` without
+    ``--energy`` gets ``energies = (0.1,)`` from :func:`_config_from_args`.
     """
 
     subcommand: str

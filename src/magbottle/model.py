@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     UnsupportedPotentialError,
 )
-from .polyalg import CanonicalPolynomial
+from .polyalg import _MAX_EXPONENT, CanonicalPolynomial
 
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -53,8 +53,9 @@ class PotentialSpec:
     Parameters
     ----------
     terms : mapping
-        ``{(a, b): c}`` with integer exponents ``a, b >= 0``.  Zero
-        coefficients are dropped.
+        ``{(a, b): c}`` with integer exponents ``0 <= a, b <= 127``, the
+        largest the polynomial algebra packs; a larger one raises
+        :class:`UnsupportedPotentialError`.  Zero coefficients are dropped.
     source : str
         ``"builtin"`` or ``"parsed"``.
     """
@@ -67,6 +68,10 @@ class PotentialSpec:
             a, b = int(a), int(b)
             if a < 0 or b < 0:
                 raise NonPolynomialError(f"negative exponent in rho^{a}*z^{b}")
+            if max(a, b) > _MAX_EXPONENT:
+                raise UnsupportedPotentialError(
+                    f"monomial rho^{a}*z^{b} has an exponent above {_MAX_EXPONENT}"
+                )
             c = float(c)
             if c != 0.0:
                 cleaned[(a, b)] = c
@@ -287,7 +292,7 @@ class _Parser:
         value = int(match.group())
         if negative:
             raise NonPolynomialError(f"negative exponent -{value}")
-        if value > 127:
+        if value > _MAX_EXPONENT:
             self._fail(f"exponent {value} too large", pos=start)
         return value
 
@@ -353,6 +358,8 @@ def parse_potential(text: str) -> PotentialSpec:
     NonPolynomialError
         On negative or fractional exponents, or division by anything other
         than a non-zero constant.
+    UnsupportedPotentialError
+        On a monomial whose rho or z exponent exceeds 127.
     """
     if not text.strip():
         raise ParseError("empty potential expression")

@@ -1,7 +1,7 @@
 """Sparse graded polynomial algebra over the canonical variables (q1, p1, q2, p2).
 
 Polynomials are stored as parallel numpy arrays: an int64 key packs the four
-exponents and the book-keeping order (k1 | l1<<8 | k2<<16 | l2<<24 | bk<<32),
+exponents and the book-keeping order (k1 | l1<<10 | k2<<20 | l2<<30 | bk<<40),
 and a complex128 array holds the coefficients. Keys are kept strictly
 increasing, which makes book-keeping groups contiguous (the bk field occupies
 the high bits) and every operation deterministic.
@@ -28,34 +28,32 @@ two caps of each kind.
 Products
 --------
 Every term of a product adds its raw products in one fixed order: f groups
-by ascending book-keeping order, g groups likewise, then row by row. A
-product of fewer than ``_DENSE_MIN_RAW`` term pairs packs them all into one
-sort-and-merge.
+by ascending book-keeping order, g groups likewise, then row by row. A raw
+product is an outer sum of the factors' keys or codes and an outer product
+of their coefficients, and one reducer sums them all: it forms the entries
+of each row block once, reduces whenever more than ``_FLUSH_LIMIT`` are
+pending, and carries the partial sums, unpruned, into the next reduction as
+its first entries. A term is pruned on its final sum only, so no result
+depends on the limit. ``np.bincount`` adds each cell's entries in input
+order, the very sums that sorting and merging the same entries gives; it
+finds the occupied cells in one of two ways.
 
-In larger products each output order s with at least ``_DENSE_MIN_RAW`` raw
-products is reduced on its own. Each monomial of order s gets the
+An output order s with at least ``_DENSE_MIN_RAW`` raw products whose code
+box is compact is summed in code cells. Each monomial of order s gets the
 mixed-radix code ``k1 + R1 (l1 + R2 (k2 + R3 (deg - dmin)))``, where deg is
 the total degree, dmin the least degree order s can reach, and each radix is
 one more than the largest sum of its field over the group pairs of order s.
 No field sum reaches its radix, so the code of a product is the sum of the
-codes of its factors, formed as an outer sum like packed keys.
-``np.bincount`` finds the occupied cells and adds each cell's entries in
-input order: the very sums that sorting and merging the same entries gives.
-Only the occupied cells are decoded, pruned, capped and sorted. An order
-takes this path when its code box holds at most ``_DENSE_BOX_PER_RAW``
-cells per raw product; sparser and smaller orders sort, which costs more
-per raw product and less per order.
+codes of its factors, and a ``bincount`` of the codes finds the occupied
+cells. Only those are decoded, pruned, capped and sorted. An order takes
+this path when its code box holds at most ``_DENSE_BOX_PER_RAW`` cells per
+raw product.
 
-Raw entries are reduced whenever more than ``_FLUSH_LIMIT`` are pending, and
-both reductions carry the partial sums, unpruned, into the next one as its
-first entries: a term is pruned on its final sum only, so no result depends
-on the limit.
-
-A packed key adds the 8-bit exponent fields of its factors. When the degrees
-of the two factors sum past 255 a field could carry into its neighbour, so
-such products first drop every pair of terms whose true degree exceeds
-``degree_cap``; the pairs that are kept fit their fields. Codes are decoded
-to true exponents and capped before they are packed, so they need no guard.
+Every other order is summed over packed keys, and ``np.unique`` finds the
+occupied cells; this costs more per raw product and less per order. A
+packed field of a raw product is at most 2 * 254 = 508, below the field's
+1024, so adding two keys never carries into a neighbouring field.
+:func:`compose` sums its substituted terms the same way.
 
 The Poisson bracket follows the convention
 
@@ -115,10 +113,12 @@ __all__ = [
 #: absolute magnitude at or below which coefficients are dropped
 PRUNE_TOL = 1e-14
 
-_BK_SHIFT = 32
-_FIELD = 0xFF
-_SHIFTS = (0, 8, 16, 24)
-#: exponent fields are 8-bit; keep one bit of headroom for products
+_BK_SHIFT = 40
+_FIELD = 0x3FF
+_SHIFTS = (0, 10, 20, 30)
+#: largest exponent of an input term; ``degree_cap`` is at most twice this,
+#: so a field of a raw product, the sum of two fields, is at most 2 * 254 and
+#: never fills its 10 bits
 _MAX_EXPONENT = 127
 
 # raw product buffers are flushed once they reach this many entries
@@ -144,10 +144,10 @@ class ExponentKey(NamedTuple):
 
 def _pack(k1, l1, k2, l2, bk):
     return (
-        int(k1)
-        | int(l1) << 8
-        | int(k2) << 16
-        | int(l2) << 24
+        int(k1) << _SHIFTS[0]
+        | int(l1) << _SHIFTS[1]
+        | int(k2) << _SHIFTS[2]
+        | int(l2) << _SHIFTS[3]
         | int(bk) << _BK_SHIFT
     )
 
@@ -170,14 +170,8 @@ def _transverse_degrees(keys):
     return ((keys >> _SHIFTS[2]) & _FIELD) + ((keys >> _SHIFTS[3]) & _FIELD)
 
 
-def _canonicalize(
-    keys, coeffs, trunc_order, degree_cap, transverse_cap=None, prune=True
-):
-    """Sort, merge duplicates, and prune. Returns new (keys, coeffs).
-
-    With ``prune=False`` every merged sum is kept, however small, so that a
-    partial sum merged again with later entries adds up as in one merge.
-    """
+def _canonicalize(keys, coeffs, trunc_order, degree_cap, transverse_cap=None):
+    """Sort, merge duplicates, and prune. Returns new (keys, coeffs)."""
     if transverse_cap is not None and keys.size:
         # dropping before the sort is exact: each key is kept or not on its own
         keep = _transverse_degrees(keys) <= transverse_cap
@@ -191,8 +185,7 @@ def _canonicalize(
     merged = re + 1j * im
     keep = _bk_orders(uniq) <= trunc_order
     keep &= _degrees(uniq) <= degree_cap
-    if prune:
-        keep &= np.abs(merged) > PRUNE_TOL
+    keep &= np.abs(merged) > PRUNE_TOL
     return uniq[keep], merged[keep]
 
 
@@ -485,50 +478,6 @@ class CanonicalPolynomial:
         )
 
 
-class _Accumulator:
-    """Collects raw (key, coeff) blocks and canonicalizes incrementally."""
-
-    def __init__(self, trunc_order, degree_cap, transverse_cap):
-        self.trunc = trunc_order
-        self.cap = degree_cap
-        self.transverse_cap = transverse_cap
-        self.key_blocks = []
-        self.coeff_blocks = []
-        self.pending = 0
-
-    def push(self, keys, coeffs):
-        self.key_blocks.append(keys)
-        self.coeff_blocks.append(coeffs)
-        self.pending += keys.size
-        if self.pending > _FLUSH_LIMIT:
-            self._flush(prune=False)
-
-    def _flush(self, prune=True):
-        if not self.key_blocks:
-            self.key_blocks = [np.empty(0, dtype=np.int64)]
-            self.coeff_blocks = [np.empty(0, dtype=np.complex128)]
-            return
-        keys = np.concatenate(self.key_blocks)
-        coeffs = np.concatenate(self.coeff_blocks)
-        keys, coeffs = _canonicalize(
-            keys, coeffs, self.trunc, self.cap, self.transverse_cap, prune
-        )
-        self.key_blocks = [keys]
-        self.coeff_blocks = [coeffs]
-        self.pending = keys.size
-
-    def result(self):
-        self._flush()
-        return CanonicalPolynomial(
-            self.key_blocks[0],
-            self.coeff_blocks[0],
-            self.trunc,
-            self.cap,
-            self.transverse_cap,
-            _canonical=True,
-        )
-
-
 class _Code(NamedTuple):
     """Code exponents of a group: (k1, l1, k2, degree) per term stacked in
     ``exps``, their maxima in ``top``, and the smallest degree."""
@@ -553,38 +502,79 @@ class _Group:
         return _Code(exps, tuple(exps.max(axis=1).tolist()), int(exps[3].min()))
 
 
-def _chunks(n1, n2):
-    """Row blocks ``(i0, i1)`` of an ``n1 x n2`` outer product, so that
-    temporaries stay bounded."""
-    step = max(1, _FLUSH_LIMIT // (4 * max(n2, 1)))
-    for i0 in range(0, n1, step):
-        yield i0, min(i0 + step, n1)
+class _Reducer:
+    """Sums raw products into cells, in batches (see "Products" above).
 
-
-def _cell_sums(cells, re, im, blocks):
-    """Occupied code cells and their sums over ``blocks``, carried sums first.
-
-    Each block is ``(codes_a, codes_b, coeffs_a, coeffs_b)``, a column and a
-    row whose outer sum and outer product are its raw entries. ``bincount``
-    adds each cell's entries in input order, so the sums are the ones a
-    sort-and-merge of the same entries gives, bit for bit.
+    Each pushed block is ``(col, row, col_coeffs, row_coeffs)``: its raw
+    entries are the outer sum of the codes and the outer product of the
+    coefficients, column by row. With ``compact`` the codes lie in a small
+    box and ``bincount`` finds the occupied cells; otherwise they are packed
+    keys and ``np.unique`` finds them.
     """
-    sizes = [ca.size * cb.size for ca, cb, _, _ in blocks]
-    codes = np.empty(cells.size + sum(sizes), dtype=np.int64)
-    coeffs = np.empty(sum(sizes), dtype=np.complex128)
-    codes[: cells.size] = cells
-    pos = 0
-    for (ca, cb, xa, xb), n in zip(blocks, sizes):
-        shape = (ca.size, cb.size)
-        np.add(ca, cb, out=codes[cells.size + pos :][:n].reshape(shape))
-        np.multiply(xa, xb, out=coeffs[pos : pos + n].reshape(shape))
-        pos += n
-    occupied = np.flatnonzero(np.bincount(codes) != 0)
-    sums = [
-        np.bincount(codes, weights=np.concatenate([carried, part]))[occupied]
-        for carried, part in ((re, coeffs.real), (im, coeffs.imag))
-    ]
-    return occupied, *sums
+
+    # no cells to start with; ``_reduce`` replaces these and never writes them
+    cells = np.empty(0, dtype=np.int64)
+    sums = np.empty(0, dtype=np.complex128)
+
+    def __init__(self, compact=False):
+        self.compact = compact
+        self.batch, self.pending = [], 0
+
+    def push(self, col, row, col_coeffs, row_coeffs):
+        # blocks of a quarter of the limit bound how far a batch overshoots it
+        step = max(1, _FLUSH_LIMIT // (4 * max(row.size, 1)))
+        for i0 in range(0, col.size, step):
+            block = (col[i0 : i0 + step], row, col_coeffs[i0 : i0 + step], row_coeffs)
+            self.batch.append(block)
+            self.pending += block[0].size * row.size
+            if self.pending > _FLUSH_LIMIT:
+                self._reduce()
+
+    def _reduce(self):
+        """Sum the batch into the cells, the carried sums first; ``pending``
+        counts both, so it sizes the buffers."""
+        n = self.cells.size
+        codes = np.empty(self.pending, dtype=np.int64)
+        coeffs = np.empty(self.pending, dtype=np.complex128)
+        if n:
+            codes[:n], coeffs[:n] = self.cells, self.sums
+        for col, row, xcol, xrow in self.batch:
+            # broadcasting forms each product as the sort-and-merge reference
+            # does; ufunc.outer takes another loop, rounded differently
+            shape = (col.size, row.size)
+            size = col.size * row.size
+            np.add(col[:, None], row, out=codes[n : n + size].reshape(shape))
+            np.multiply(
+                xcol[:, None], xrow[None, :], out=coeffs[n : n + size].reshape(shape)
+            )
+            n += size
+        parts = coeffs.real, coeffs.imag
+        if self.compact:
+            self.cells = np.flatnonzero(np.bincount(codes) != 0)
+            re, im = [np.bincount(codes, weights=w)[self.cells] for w in parts]
+        else:
+            self.cells, index = np.unique(codes, return_inverse=True)
+            re, im = [np.bincount(index, weights=w) for w in parts]
+        self.sums = re + 1j * im
+        self.batch, self.pending = [], self.cells.size
+
+    def result(self):
+        """The occupied cells and their complex sums, unpruned."""
+        if self.batch:
+            self._reduce()
+        return self.cells, self.sums
+
+
+def _packed_terms(reducer, bounds):
+    """The merged (keys, coeffs) of a packed-key reducer that ``bounds``
+    keep, sorted and pruned; the callers push no key past the truncation."""
+    keys, coeffs = reducer.result()
+    _, cap, transverse_cap = bounds
+    keep = np.abs(coeffs) > PRUNE_TOL
+    keep &= _degrees(keys) <= cap
+    if transverse_cap is not None:
+        keep &= _transverse_degrees(keys) <= transverse_cap
+    return keys[keep], coeffs[keep]
 
 
 def _dense_order(s, pairs, raw, bounds):
@@ -605,23 +595,15 @@ def _dense_order(s, pairs, raw, bounds):
         return None
     # each field sum stays below its radix, so codes add without carries
     weights = np.array([1, r1, r1 * r2, stride], dtype=np.int64)
-    cells = np.empty(0, dtype=np.int64)
-    re = im = np.empty(0)
-    batch, pending = [], 0
+    reducer = _Reducer(compact=True)
     for a, b in pairs:
-        ca = weights @ a.code.exps
-        cb = weights @ b.code.exps - stride * dmin
-        for i0, i1 in _chunks(a.keys.size, b.keys.size):
-            batch.append(
-                (ca[i0:i1, None], cb[None, :], a.coeffs[i0:i1, None], b.coeffs[None, :])
-            )
-            pending += (i1 - i0) * b.keys.size
-            if pending > _FLUSH_LIMIT:
-                cells, re, im = _cell_sums(cells, re, im, batch)
-                batch, pending = [], cells.size
-    if batch:
-        cells, re, im = _cell_sums(cells, re, im, batch)
-    merged = re + 1j * im
+        reducer.push(
+            weights @ a.code.exps,
+            weights @ b.code.exps - stride * dmin,
+            a.coeffs,
+            b.coeffs,
+        )
+    cells, merged = reducer.result()
     keep = np.abs(merged) > PRUNE_TOL
     cells, merged = cells[keep], merged[keep]
     k1, rest = cells % r1, cells // r1
@@ -641,58 +623,22 @@ def _dense_order(s, pairs, raw, bounds):
     return keys, merged[keep]
 
 
-def _group_pairs(f, g, trunc):
-    """Yield ``(s1 + s2, f group, g group)`` for the bk groups of ``f`` and
-    ``g`` with s1 + s2 <= ``trunc``, ascending in s1, then s2."""
-    g_groups = [(s2, _Group(k, c)) for s2, k, c in g._bk_slices()]
-    for s1, k, c in f._bk_slices():
-        a = _Group(k, c)
-        for s2, b in g_groups:
-            if s1 + s2 > trunc:
-                break
-            yield s1 + s2, a, b
-
-
-def _push_products(acc, pairs, cap, guard):
-    """Push the raw products of ``(f group, g group)`` pairs into ``acc``."""
-    for a, b in pairs:
-        k1, c1, k2, c2 = a.keys, a.coeffs, b.keys, b.coeffs
-        if guard:
-            d2 = _degrees(k2)
-        for i0, i1 in _chunks(k1.size, k2.size):
-            kk = k1[i0:i1, None] + k2[None, :]
-            cc = c1[i0:i1, None] * c2[None, :]
-            if guard:
-                fits = _degrees(k1[i0:i1])[:, None] + d2[None, :] <= cap
-                acc.push(kk[fits], cc[fits])
-            else:
-                acc.push(kk.ravel(), cc.ravel())
-
-
 def _multiply(f, g):
     """Product of two polynomials with book-keeping truncation."""
     bounds = f._binary_bounds(g)
-    trunc, cap = bounds[:2]
     if f.nterms == 0 or g.nterms == 0:
         return CanonicalPolynomial.zero(*bounds)
-    # past 255 a packed field sum could carry into its neighbour; pairs of
-    # true degree <= cap <= 254 cannot, so those are the only ones packed
-    # (the degree caps bound the degrees and spare the scan in the common
-    # case)
-    guard = (
-        f.degree_cap + g.degree_cap > _FIELD and f.degree() + g.degree() > _FIELD
-    )
-    acc = _Accumulator(*bounds)
-    grouped = _group_pairs(f, g, trunc)
-    if f.nterms * g.nterms < _DENSE_MIN_RAW:
-        # no output order can reach the floor
-        _push_products(acc, ((a, b) for _, a, b in grouped), cap, guard)
-        return acc.result()
-    # each output order lists its pairs in ascending f order, the order in
-    # which both reductions add each term's raw products
+    g_groups = [(s2, _Group(k, c)) for s2, k, c in g._bk_slices()]
     by_order = {}
-    for s, a, b in grouped:
-        by_order.setdefault(s, []).append((a, b))
+    for s1, k, c in f._bk_slices():
+        a = _Group(k, c)
+        for s2, b in g_groups:
+            if s1 + s2 > bounds[0]:
+                break
+            by_order.setdefault(s1 + s2, []).append((a, b))
+    # each output order lists its pairs in ascending f order, the order in
+    # which the reducers add each term's raw products
+    packed = _Reducer()
     key_blocks, coeff_blocks = [], []
     for s in sorted(by_order):
         pairs = by_order[s]
@@ -701,17 +647,17 @@ def _multiply(f, g):
         if raw >= _DENSE_MIN_RAW:
             terms = _dense_order(s, pairs, raw, bounds)
         if terms is None:
-            _push_products(acc, pairs, cap, guard)
+            for a, b in pairs:
+                packed.push(a.keys, b.keys, a.coeffs, b.coeffs)
         else:
             key_blocks.append(terms[0])
             coeff_blocks.append(terms[1])
-    out = acc.result()
-    if not key_blocks:
-        return out
-    keys = np.concatenate([out._keys, *key_blocks])
-    order = np.argsort(keys)
-    coeffs = np.concatenate([out._coeffs, *coeff_blocks])[order]
-    return out._same_bounds(keys[order], coeffs)
+    keys, coeffs = _packed_terms(packed, bounds)
+    if key_blocks:
+        keys = np.concatenate([keys, *key_blocks])
+        order = np.argsort(keys)
+        keys, coeffs = keys[order], np.concatenate([coeffs, *coeff_blocks])[order]
+    return CanonicalPolynomial(keys, coeffs, *bounds, _canonical=True)
 
 
 def conjugate(f, pairs):
@@ -836,15 +782,16 @@ def compose(f, subs):
             prefix_cache[exps] = p
         return prefix_cache[exps]
 
-    acc = _Accumulator(f.trunc_order, f.degree_cap, f.transverse_cap)
+    # each prefix is the column, so every coefficient is formed as
+    # p_coeff * c, as the per-term sum forms it
+    reducer = _Reducer()
     k1, l1, k2, l2 = _exponents(f._keys)
-    bk = _bk_orders(f._keys)
+    bk_keys = _bk_orders(f._keys) << _BK_SHIFT
     for i in range(f.nterms):
         p = prefix((int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i])))
-        if p.nterms == 0:
-            continue
-        acc.push(p._keys + (int(bk[i]) << _BK_SHIFT), p._coeffs * f._coeffs[i])
-    return acc.result()
+        reducer.push(p._keys, bk_keys[i : i + 1], p._coeffs, f._coeffs[i : i + 1])
+    bounds = (f.trunc_order, f.degree_cap, f.transverse_cap)
+    return f._same_bounds(*_packed_terms(reducer, bounds))
 
 
 def evaluate(f, q1, p1, q2, p2):

@@ -401,37 +401,26 @@ def per_term_compose(f, subs):
 
 
 def sorted_product(f, g):
-    """``f * g`` with every raw product sorted and merged in one accumulator.
+    """``f * g`` with every raw product sorted and merged in one pass.
 
-    Raw products are pushed f group by g group, in ascending book-keeping
-    order of each, and row by row within a pair, so each output term sums
-    its products in the order the package adds them.  A factor pair whose
-    degrees could carry an 8-bit exponent field is packed only when its
-    true degree fits the cap.
+    Raw products are concatenated f group by g group, in ascending
+    book-keeping order of each, and row by row within a pair, so each
+    output term sums its products in the order the package adds them.
+    One constructor call sorts, merges, caps and prunes them all.
     """
-    from magbottle import polyalg
+    from magbottle.polyalg import CanonicalPolynomial
 
     bounds = f._binary_bounds(g)
-    trunc, cap = bounds[:2]
-    if f.nterms == 0 or g.nterms == 0:
-        return polyalg.CanonicalPolynomial.zero(*bounds)
-    acc = polyalg._Accumulator(*bounds)
-    guard = (
-        f.degree_cap + g.degree_cap > 0xFF and f.degree() + g.degree() > 0xFF
-    )
+    keys = [np.empty(0, dtype=np.int64)]
+    coeffs = [np.empty(0, dtype=np.complex128)]
     g_groups = list(g._bk_slices())
     for s1, k1, c1 in f._bk_slices():
         for s2, k2, c2 in g_groups:
-            if s1 + s2 > trunc:
+            if s1 + s2 > bounds[0]:
                 break
-            kk = k1[:, None] + k2[None, :]
-            cc = c1[:, None] * c2[None, :]
-            if guard:
-                fits = polyalg._degrees(k1)[:, None] + polyalg._degrees(k2) <= cap
-                acc.push(kk[fits], cc[fits])
-            else:
-                acc.push(kk.ravel(), cc.ravel())
-    return acc.result()
+            keys.append((k1[:, None] + k2[None, :]).ravel())
+            coeffs.append((c1[:, None] * c2[None, :]).ravel())
+    return CanonicalPolynomial(np.concatenate(keys), np.concatenate(coeffs), *bounds)
 
 
 def concatenated_sum(f, g):

@@ -55,6 +55,11 @@ def test_norm_matches_direct_state_evaluation(nonres_profile, nf5):
     assert via_state == pytest.approx(via_profile, rel=1e-12)
 
 
+def test_remainder_norm_rejects_delta_e_at_or_above_e(nf5):
+    with pytest.raises(RangeError, match="delta_E"):
+        remainder_norm(nf5, 5, 6, 0.2, 0.2)
+
+
 def test_norm_rejects_capped_state(prep):
     capped = normalize(prep, r_max=5, r_trunc=6, transverse_cap=2)
     with pytest.raises(ModeError, match="remainder_norm"):

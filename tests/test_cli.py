@@ -136,6 +136,17 @@ def test_missing_seed_file_is_config_error(tmp_path):
     assert "FileNotFoundError" in proc.stderr
 
 
+def test_oversized_potential_exponent_is_config_error(tmp_path):
+    potential = tmp_path / "potential.txt"
+    potential.write_text("0.5*rho^2 + 0.1*(rho^2)^70\n")
+    proc = run_cli(
+        "normalize", "--potential", potential, "--out", tmp_path / "run",
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert "UnsupportedPotentialError" in proc.stderr
+
+
 def test_invalid_option_value_is_config_error(tmp_path):
     proc = run_cli(
         "asymptotics", "--order-cap", 1, "--out", tmp_path / "run", check=False

@@ -273,6 +273,15 @@ def test_unsupported_potentials_raise():
         complexify_nonresonant(parse_potential("0.5*rho^2 + 1"))
 
 
+def test_exponents_past_the_packing_limit_are_unsupported():
+    # every '^' of the text is at most 127, but (rho^2)^70 expands to rho^140
+    with pytest.raises(UnsupportedPotentialError, match="rho\\^140"):
+        parse_potential("0.5*rho^2 + 0.1*(rho^2)^70")
+    with pytest.raises(UnsupportedPotentialError, match="above 127"):
+        PotentialSpec({(2, 0): 0.5, (2, 128): 1.0})
+    assert PotentialSpec({(2, 0): 0.5, (2, 126): 1.0}).max_degree == 128
+
+
 # ------------------------------------------------------- resonant preparation
 
 

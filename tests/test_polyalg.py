@@ -25,6 +25,7 @@ from magbottle.polyalg import (
 from oracles import (
     concatenated_sum,
     four_product_bracket,
+    per_term_compose,
     sorted_product,
     sympy_bracket,
     term_conjugate,
@@ -644,6 +645,26 @@ def test_compose_keeps_term_bk():
     ]
     ((_, _, bk),) = list(compose(f, subs).term_items())
     assert bk == 2
+
+
+def test_compose_carries_partial_sums_across_flushes(monkeypatch):
+    # q1 at bk 0 first gets 1e-7 * 1e-7, at the prune threshold, from the
+    # term q1 of f and then 1.0 from the term p1; with a one-entry buffer a
+    # flush between the two must carry the first, as one merge would
+    f = make([
+        ((1, 0, 0, 0), 1e-7, 0), ((0, 1, 0, 0), 1.0, 0),
+        ((1, 1, 1, 0), 0.5j, 1), ((2, 0, 0, 1), -0.25, 1),
+    ])
+    subs = [
+        make([((1, 0, 0, 0), 1e-7, 0), ((0, 0, 1, 0), 0.3, 0)]),
+        make([((1, 0, 0, 0), 1.0, 0), ((0, 1, 0, 0), -0.2j, 0)]),
+        make([((0, 0, 1, 0), 2.0, 0), ((0, 0, 0, 1), 0.1, 0)]),
+        make([((0, 0, 0, 1), 1.0, 0), ((0, 0, 1, 0), 0.25j, 0)]),
+    ]
+    want = per_term_compose(f, subs)
+    assert want.coefficient(1, 0, 0, 0, bk=0) == 1e-7 * 1e-7 + 1.0
+    monkeypatch.setattr(polyalg, "_FLUSH_LIMIT", 1)
+    _assert_bitwise_equal(compose(f, subs), want)
 
 
 def test_evaluate_broadcasts():
