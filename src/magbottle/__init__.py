@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 from .polyalg import (
     CanonicalPolynomial,
     ExponentKey,
-    compose,
     evaluate,
     from_records,
     lie_transform,
     poisson_bracket,
+    substitute_pairs,
     to_records,
 )
 
@@ -25,10 +25,10 @@ __all__ = [
     "__version__",
     "CanonicalPolynomial",
     "ExponentKey",
-    "compose",
     "evaluate",
     "from_records",
     "lie_transform",
     "poisson_bracket",
+    "substitute_pairs",
     "to_records",
 ]

@@ -52,7 +52,7 @@ from .model import (
     prepare_resonant,
 )
 from .normform import normalize
-from .polyalg import to_records
+from .polyalg import MAX_TRUNC_ORDER, to_records
 
 SCHEMA = "magbottle/1"
 
@@ -121,6 +121,16 @@ class RunConfig:
             raise ConfigError("--trunc must be at least max(order, 1)")
         if self.order_cap < 2:
             raise ConfigError("--order-cap must be >= 2")
+        for option, needed in (
+            ("--order/--trunc", self.r_trunc),
+            ("--locator-order", self.locator_order + 1),
+            ("--order-cap", self.order_cap),
+            ("--order-max", self.order_max),
+        ):
+            if needed > MAX_TRUNC_ORDER:
+                raise ConfigError(
+                    f"{option} needs truncation order {needed} > {MAX_TRUNC_ORDER}"
+                )
         if not self.energies or any(E <= 0.0 for E in self.energies):
             raise ConfigError("energies must be positive")
         if self.delta_e is not None and any(d <= 0.0 for d in self.delta_e):
@@ -132,6 +142,11 @@ class RunConfig:
         if self.n_crossings < 0:
             raise ConfigError("--n-crossings must be >= 0")
         return self
+
+    @property
+    def r_trunc(self) -> int:
+        """The truncation order of the normal form: ``trunc``, or order + 1."""
+        return self.trunc if self.trunc is not None else self.order + 1
 
     def canonical_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
@@ -230,8 +245,7 @@ def _prepare(config: RunConfig, spec):
 def _normal_form(config: RunConfig, prepared):
     """Uncapped normalization to ``--order``, truncated at ``--trunc``
     (default order + 1)."""
-    trunc = config.trunc if config.trunc is not None else config.order + 1
-    return normalize(prepared, r_max=config.order, r_trunc=trunc)
+    return normalize(prepared, r_max=config.order, r_trunc=config.r_trunc)
 
 
 def _bifurcation_dict(bif):

@@ -29,8 +29,8 @@ from scipy import ndimage
 
 from .dynamics import section_seed_state
 from .errors import NonRealIntegralError
-from .model import PotentialSpec, Resonance, resolve_potential
-from .polyalg import CanonicalPolynomial, evaluate, compose, lie_transform
+from .model import PotentialSpec, Resonance, inverse_complexification, resolve_potential
+from .polyalg import CanonicalPolynomial, evaluate, lie_transform, substitute_pairs
 
 __all__ = [
     "FormalIntegral",
@@ -124,42 +124,13 @@ class LevelComponent:
     encircles_center: bool
 
 
-def _inverse_substitutions(omega1, omega2, trunc, cap):
-    """Polynomials mapping (q1, p1, q2, p2) to the real variables.
-
-    The output reuses the exponent slots as (rho, p_rho, z, p_z).  A None
-    ``omega2`` means the second pair was never complexified and passes
-    through as (z, p_z).
-    """
-
-    def pair(omega, hi_slot, lo_slot):
-        sa = math.sqrt(2.0 * omega) / 2.0
-        sb = math.sqrt(2.0 / omega) / 2.0
-        q = [(hi_slot, sa, 0), (lo_slot, -1j * sb, 0)]
-        p = [(lo_slot, sb, 0), (hi_slot, -1j * sa, 0)]
-        return q, p
-
-    def build(terms):
-        return CanonicalPolynomial.from_terms(
-            [(slot, c, bk) for slot, c, bk in terms], trunc_order=trunc, degree_cap=cap
-        )
-
-    q1, p1 = pair(omega1, (1, 0, 0, 0), (0, 1, 0, 0))
-    if omega2 is None:
-        q2 = [((0, 0, 1, 0), 1.0, 0)]
-        p2 = [((0, 0, 0, 1), 1.0, 0)]
-    else:
-        q2, p2 = pair(omega2, (0, 0, 1, 0), (0, 0, 0, 1))
-    return [build(q1), build(p1), build(q2), build(p2)]
-
-
 def back_transform(state) -> FormalIntegral:
     """Pull the conserved seed of the normal form to original variables.
 
     Applies ``exp(-L_chi_1) o ... o exp(-L_chi_r)`` (innermost first) to
     the conserved quadratic, truncates at book-keeping order r, and
-    substitutes the inverse complexification.  Coefficients must come out
-    real up to the arithmetic noise floor.
+    substitutes the inverse complexification of each complexified pair.
+    Coefficients must come out real up to the arithmetic noise floor.
 
     The pullback forms both products of every bracket, unlike
     :func:`normalize`: the conjugate-product bracket assumes that each
@@ -180,31 +151,29 @@ def back_transform(state) -> FormalIntegral:
     if state.mode == "resonant":
         res = prepared.resonance
         seed = [((1, 1, 0, 0), 1j * res.m1, 0), ((0, 0, 1, 1), 1j * res.m2, 0)]
-        omega2 = res.omega2
+        transverse = inverse_complexification(res.omega2)
     else:
         res = None
         seed = [((1, 1, 0, 0), 1j, 0)]
-        omega2 = None
+        transverse = None
     phi = CanonicalPolynomial.from_terms(seed, trunc_order=max(state.r, 1))
     for chi in reversed(state.generators):
         phi = lie_transform(phi, chi, inverse=True)
     phi = phi.restrict_bk(0, state.r)
-    subs = _inverse_substitutions(
-        prepared.omega10, omega2, phi.trunc_order, phi.degree_cap
-    )
-    real_phi = compose(phi, subs)
+    maps = (inverse_complexification(prepared.omega10), transverse)
+    real_phi = substitute_pairs(phi, maps)
+    *exponents, _bk, coeffs = real_phi.term_arrays()
     floor = IMAG_TOL * max(1.0, real_phi.max_abs())
-    cleaned = []
-    for key, coeff, bk in real_phi.term_items():
-        if abs(coeff.imag) >= floor:
-            raise NonRealIntegralError(
-                f"coefficient of {tuple(key)} has imaginary part {coeff.imag:.3e}"
-            )
-        cleaned.append((tuple(key), coeff.real, bk))
-    poly = CanonicalPolynomial.from_terms(
-        cleaned, trunc_order=real_phi.trunc_order, degree_cap=real_phi.degree_cap
+    bad = np.flatnonzero(np.abs(coeffs.imag) >= floor)
+    if bad.size:
+        i = bad[0]
+        raise NonRealIntegralError(
+            f"coefficient of {tuple(int(e[i]) for e in exponents)} has "
+            f"imaginary part {coeffs.imag[i]:.3e}"
+        )
+    return FormalIntegral(
+        poly=real_phi.real_part(), mode=state.mode, order=state.r, resonance=res
     )
-    return FormalIntegral(poly=poly, mode=state.mode, order=state.r, resonance=res)
 
 
 def _section_table(integral: FormalIntegral):

@@ -458,6 +458,15 @@ def _rho_binomial(a, scale):
     return [(j, scale * math.comb(a, j) * _IPOW[j % 4]) for j in range(a + 1)]
 
 
+def inverse_complexification(omega):
+    """The matrix ((a, b), (c, d)), q = a x + b y and p = c x + d y, that
+    inverts the complexification x = (q + i p)/sqrt(2 omega), y =
+    sqrt(omega/2) (i q + p) of a real pair (x, y) at frequency omega."""
+    sa = math.sqrt(2.0 * omega) / 2.0
+    sb = math.sqrt(2.0 / omega) / 2.0
+    return ((sa, -1j * sb), (-1j * sa, sb))
+
+
 def complexify_nonresonant(spec: PotentialSpec) -> PreparedHamiltonian:
     """Rotate (rho, p_rho) to complex canonical variables and grade by degree.
 

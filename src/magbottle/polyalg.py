@@ -53,7 +53,6 @@ Every other order is summed over packed keys, and ``np.unique`` finds the
 occupied cells; this costs more per raw product and less per order. A
 packed field of a raw product is at most 2 * 254 = 508, below the field's
 1024, so adding two keys never carries into a neighbouring field.
-:func:`compose` sums its substituted terms the same way.
 
 The Poisson bracket follows the convention
 
@@ -98,12 +97,13 @@ from .errors import NonNilpotentGenerator
 
 __all__ = [
     "PRUNE_TOL",
+    "MAX_TRUNC_ORDER",
     "ExponentKey",
     "CanonicalPolynomial",
     "conjugate",
     "poisson_bracket",
     "lie_transform",
-    "compose",
+    "substitute_pairs",
     "evaluate",
     "to_records",
     "from_records",
@@ -120,6 +120,10 @@ _SHIFTS = (0, 10, 20, 30)
 #: so a field of a raw product, the sum of two fields, is at most 2 * 254 and
 #: never fills its 10 bits
 _MAX_EXPONENT = 127
+
+#: largest ``trunc_order`` whose default ``degree_cap``, 2 * trunc_order + 2,
+#: fits the packing
+MAX_TRUNC_ORDER = _MAX_EXPONENT - 1
 
 # raw product buffers are flushed once they reach this many entries
 _FLUSH_LIMIT = 1 << 23
@@ -202,8 +206,9 @@ class CanonicalPolynomial:
     trunc_order : int
         Maximum book-keeping order retained by any operation.
     degree_cap : int, optional
-        Hard cap on the polynomial degree of retained terms. Defaults to
-        ``2*trunc_order + 2``, the degree reached by the non-resonant grading.
+        Hard cap, at most 254, on the polynomial degree of retained terms.
+        Defaults to ``2*trunc_order + 2``, the degree reached by the
+        non-resonant grading.
     transverse_cap : int, optional
         Cap on the transverse degree k2 + l2 of retained terms. Defaults to
         None, no cap.
@@ -221,7 +226,7 @@ class CanonicalPolynomial:
         _canonical=False,
     ):
         if degree_cap is None:
-            degree_cap = min(2 * trunc_order + 2, 2 * _MAX_EXPONENT)
+            degree_cap = 2 * trunc_order + 2
         if degree_cap > 2 * _MAX_EXPONENT:
             raise ValueError(f"degree_cap {degree_cap} exceeds packing headroom")
         if transverse_cap is not None and transverse_cap < 0:
@@ -327,13 +332,6 @@ class CanonicalPolynomial:
     def min_bk(self):
         """Smallest book-keeping order present (None when empty)."""
         return int(self._keys[0] >> _BK_SHIFT) if self.nterms else None
-
-    def max_bk(self):
-        return int(self._keys[-1] >> _BK_SHIFT) if self.nterms else None
-
-    def degree(self):
-        """Largest polynomial degree present (0 when empty)."""
-        return int(_degrees(self._keys).max()) if self.nterms else 0
 
     def max_abs(self):
         """Largest coefficient magnitude (0.0 when empty)."""
@@ -442,6 +440,10 @@ class CanonicalPolynomial:
         if factor == 0:
             return self._same_bounds(self._keys[:0], self._coeffs[:0])
         return self._same_bounds(self._keys.copy(), self._coeffs * factor)._pruned()
+
+    def real_part(self):
+        """The real parts of the coefficients, pruned, under the same bounds."""
+        return self._same_bounds(self._keys, self._coeffs.real)._pruned()
 
     def _pruned(self):
         keep = np.abs(self._coeffs) > PRUNE_TOL
@@ -567,7 +569,8 @@ class _Reducer:
 
 def _packed_terms(reducer, bounds):
     """The merged (keys, coeffs) of a packed-key reducer that ``bounds``
-    keep, sorted and pruned; the callers push no key past the truncation."""
+    keep, sorted and pruned; :func:`_multiply` pushes no key past the
+    truncation."""
     keys, coeffs = reducer.result()
     _, cap, transverse_cap = bounds
     keep = np.abs(coeffs) > PRUNE_TOL
@@ -740,58 +743,53 @@ def lie_transform(f, chi, inverse=False, complex_pairs=()):
     return out
 
 
-def compose(f, subs):
-    """Substitute polynomials for the four variables of ``f``.
+def _pair_table(matrix, n_max):
+    """T[n, k, i], the coefficient of x^i y^(n-i) in (a x + b y)^k (c x + d y)^(n-k).
 
-    Parameters
-    ----------
-    f : CanonicalPolynomial
-    subs : sequence of 4 CanonicalPolynomial
-        Replacements for (q1, p1, q2, p2). Each must carry book-keeping
-        order 0 only; composed terms inherit the order of the term of ``f``
-        they came from.
+    Each binomial row is the one before it convolved with the map's row, as
+    repeated products form it; closed-form binomial terms round worse.
     """
-    for g in subs:
-        if g.nterms and g.max_bk() != 0:
-            raise ValueError("substitution polynomials must have bk order 0")
-    if f.nterms == 0:
+    (a, b), (c, d) = np.asarray(matrix, dtype=np.complex128)
+    one = np.ones(1, dtype=np.complex128)
+    q_rows, p_rows = [one], [one]
+    for _ in range(n_max):
+        q_rows.append(np.convolve(q_rows[-1], [b, a]))
+        p_rows.append(np.convolve(p_rows[-1], [d, c]))
+    table = np.zeros((n_max + 1,) * 3, dtype=np.complex128)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            table[n, k, : n + 1] = np.convolve(q_rows[k], p_rows[n - k])
+    return table
+
+
+def substitute_pairs(f, maps):
+    """Substitute a linear map for the variables of each pair of ``f``.
+
+    ``maps[j]`` is None, leaving pair j (0 for (q1, p1), 1 for (q2, p2)) as
+    it is, or a matrix ((a, b), (c, d)) that puts q_j = a x_j + b y_j and
+    p_j = c x_j + d y_j, with x_j and y_j in the slots of q_j and p_j. Each
+    term keeps its degree in every pair and its book-keeping order, so the
+    result keeps the bounds of ``f``. Every term expands at once, to a row
+    of the pair's table per mapped pair; the sums are pruned at the end.
+    """
+    keys, coeffs = f._keys, f._coeffs
+    if keys.size == 0:
         return f
-    one = f._same_bounds(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
-    pow_cache = [{0: one}, {0: one}, {0: one}, {0: one}]
-
-    def power(var, n):
-        cache = pow_cache[var]
-        if n not in cache:
-            cache[n] = _multiply(power(var, n - 1), subs[var])
-        return cache[n]
-
-    # q1^k1 p1^l1 q2^k2 p2^l2 is built left to right, and terms of f share
-    # their leading exponents, so each prefix (k1,), (k1, l1), ... is formed
-    # once per call
-    prefix_cache = {}
-
-    def prefix(exps):
-        if exps not in prefix_cache:
-            if len(exps) == 1:
-                p = power(0, exps[0])
-            else:
-                p = prefix(exps[:-1])
-                e = exps[-1]
-                if e:
-                    p = _multiply(p, power(len(exps) - 1, e))
-            prefix_cache[exps] = p
-        return prefix_cache[exps]
-
-    # each prefix is the column, so every coefficient is formed as
-    # p_coeff * c, as the per-term sum forms it
-    reducer = _Reducer()
-    k1, l1, k2, l2 = _exponents(f._keys)
-    bk_keys = _bk_orders(f._keys) << _BK_SHIFT
-    for i in range(f.nterms):
-        p = prefix((int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i])))
-        reducer.push(p._keys, bk_keys[i : i + 1], p._coeffs, f._coeffs[i : i + 1])
-    bounds = (f.trunc_order, f.degree_cap, f.transverse_cap)
-    return f._same_bounds(*_packed_terms(reducer, bounds))
+    for j, matrix in enumerate(maps):
+        if matrix is None:
+            continue
+        lo, hi = _SHIFTS[2 * j], _SHIFTS[2 * j + 1]
+        k = (keys >> lo) & _FIELD
+        n = k + ((keys >> hi) & _FIELD)
+        table = _pair_table(matrix, int(n.max()))
+        term = np.repeat(np.arange(keys.size), n + 1)
+        i = np.arange(term.size) - (np.cumsum(n + 1) - (n + 1))[term]
+        k, n = k[term], n[term]
+        rest = keys[term] & ~((_FIELD << lo) | (_FIELD << hi))
+        keys, coeffs = rest | i << lo | (n - i) << hi, coeffs[term] * table[n, k, i]
+    return CanonicalPolynomial(
+        keys, coeffs, f.trunc_order, f.degree_cap, f.transverse_cap
+    )
 
 
 def evaluate(f, q1, p1, q2, p2):

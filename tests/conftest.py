@@ -9,6 +9,7 @@ import dataclasses
 import pytest
 
 from magbottle.analysis import bifurcation_energy, capture_remainder_profile
+from magbottle.dynamics import OrbitState, integrate
 from magbottle.model import (
     build_builtin_model,
     complexify_nonresonant,
@@ -77,3 +78,10 @@ def res21_nf8(res21_prep):
 def res21_profile(res21_prep):
     # about two minutes; used by the acceptance gate only
     return capture_remainder_profile(res21_prep, N=20)
+
+
+@pytest.fixture(scope="session")
+def drift_orbit():
+    # the 1e4-unit orbit whose energy drift both criterion 7 and
+    # test_energy_drift_stays_below_bound bound; about 24 s to integrate
+    return integrate(OrbitState(0.9, 0.3, 0.2, 0.1), 1.0e4, tol=1e-12, n_samples=2001)

@@ -362,12 +362,15 @@ def dense_section_reference(rhs, y0, n_crossings, t_max, rtol, atol):
 
 
 def per_term_compose(f, subs):
-    """``compose(f, subs)`` with no work shared between the terms of ``f``.
+    """``f`` with the polynomials ``subs`` put in for (q1, p1, q2, p2).
 
     Each term builds its own q1^k1 p1^l1 q2^k2 p2^l2 from the powers of the
-    substitutions, left to right.  The raw products are summed in one pass
-    in the package's term order (book-keeping order, then l2, k2, l1, k1),
-    so the result matches a correct ``compose`` bit for bit.
+    substitutions, left to right, with no work shared between the terms of
+    ``f``.  The raw products are summed in one pass in the package's term
+    order (book-keeping order, then l2, k2, l1, k1).  A linear pair
+    substitution of the package forms its products in another order, so it
+    matches this reference within 1e-15 of the largest coefficient, not bit
+    for bit.
     """
     from magbottle.polyalg import CanonicalPolynomial
 
@@ -393,6 +396,22 @@ def per_term_compose(f, subs):
         scaled = np.array([c for _, c, _ in items]) * np.complex128(coeff)
         raw.extend((k, c, bk) for (k, _, _), c in zip(items, scaled))
     return CanonicalPolynomial.from_terms(raw, *bounds)
+
+
+def pair_map_polynomials(maps, trunc_order, degree_cap=None):
+    """The four substitution polynomials of the pair ``maps`` of
+    ``substitute_pairs``: q_j = a x_j + b y_j and p_j = c x_j + d y_j, and
+    the identity for a pair whose map is None."""
+    from magbottle.polyalg import CanonicalPolynomial
+
+    subs = []
+    for j, matrix in enumerate(maps):
+        slots = [(0,) * (2 * j) + e + (0,) * (2 - 2 * j) for e in ((1, 0), (0, 1))]
+        rows = ((1.0, 0.0), (0.0, 1.0)) if matrix is None else matrix
+        for row in rows:
+            terms = [(slot, c, 0) for slot, c in zip(slots, row)]
+            subs.append(CanonicalPolynomial.from_terms(terms, trunc_order, degree_cap))
+    return subs
 
 
 # ---------------------------------------------------------------------------

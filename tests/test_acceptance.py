@@ -48,9 +48,7 @@ from magbottle.analysis import (
     optimal_order_scan,
 )
 from magbottle.dynamics import (
-    OrbitState,
     central_orbit_monodromy,
-    integrate,
     numerical_bifurcation_energy,
     poincare_section,
 )
@@ -298,7 +296,7 @@ def _random_poly(rng, bk_range=(0, 1), trunc=30):
     return CanonicalPolynomial.from_terms(terms, trunc_order=trunc, degree_cap=200)
 
 
-def test_criterion_7_property_suites(nf8, res21_nf8, capsys):
+def test_criterion_7_property_suites(nf8, res21_nf8, drift_orbit, capsys):
     rng = np.random.default_rng(42)
     algebra_ok = True
     for _ in range(10):
@@ -353,7 +351,7 @@ def test_criterion_7_property_suites(nf8, res21_nf8, capsys):
             for key, _c, _bk in state.hamiltonian.bk_part(s).term_items()
         )
 
-    traj = integrate(OrbitState(0.9, 0.3, 0.2, 0.1), 1.0e4, n_samples=2001)
+    traj = drift_orbit
     energies = traj.energies()
     drift = float(np.abs(energies - energies[0]).max() / abs(energies[0]))
     mono = central_orbit_monodromy(0.2)

@@ -163,6 +163,34 @@ def test_negative_crossing_count_is_config_error(tmp_path):
     assert "--n-crossings must be >= 0" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--order", "126"],
+        ["normalize", "--order", "5", "--trunc", "127"],
+        ["bifurcation", "--locator-order", "126"],
+        ["asymptotics", "--order-cap", "127"],
+        ["chaos-threshold", "--order-max", "127"],
+    ],
+)
+def test_truncation_past_the_packing_is_config_error(tmp_path, capsys, argv):
+    # each request needs truncation order 127, whose terms of degree 256
+    # the polynomial packing cannot hold
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "127" in err
+    assert not out.exists()
+    # one order less fits
+    config = _config_from_args(build_parser().parse_args(argv))
+    field, value = {
+        "--order": ("order", 125), "--trunc": ("trunc", 126),
+        "--locator-order": ("locator_order", 125),
+        "--order-cap": ("order_cap", 126), "--order-max": ("order_max", 126),
+    }[argv[-2]]
+    dataclasses.replace(config, **{field: value}).validate()
+
+
 def test_computation_failure_names_error(tmp_path):
     # delta_E above the scan energy violates the norm's domain
     proc = run_cli(

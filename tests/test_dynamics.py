@@ -45,9 +45,9 @@ def test_equatorial_plane_is_invariant():
     assert np.abs(traj.states[:, 3]).max() == 0.0
 
 
-def test_energy_drift_stays_below_bound():
+def test_energy_drift_stays_below_bound(drift_orbit):
     # the headline integrator property: relative drift < 1e-10 over 1e4 units
-    traj = integrate(SEED, 1.0e4, tol=1e-12, n_samples=2001)
+    traj = drift_orbit
     energies = traj.energies()
     drift = np.abs(energies - energies[0]).max() / abs(energies[0])
     assert drift < 1e-10

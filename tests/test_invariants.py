@@ -19,10 +19,15 @@ from magbottle.invariants import (
 )
 from magbottle.model import prepare_resonant
 from magbottle.normform import normalize
-from magbottle.polyalg import CanonicalPolynomial, compose, to_records
+from magbottle.polyalg import (
+    CanonicalPolynomial,
+    coefficient_distance,
+    substitute_pairs,
+    to_records,
+)
 
 from conftest import truncated_view
-from oracles import per_term_compose, per_term_section_field
+from oracles import pair_map_polynomials, per_term_compose, per_term_section_field
 
 #: window bounding the 2:1 island chain at E = 0.2 (chain spans
 #: |z| <= 0.26, |p_z| <= 0.14; the series' trust region ends around
@@ -97,25 +102,27 @@ def test_back_transform_rejects_capped_state(prep):
         back_transform(capped)
 
 
-def test_compose_equals_per_term_oracle_on_resonant_pullback(
+def test_substitute_pairs_matches_per_term_oracle_on_resonant_pullback(
     res21_nf8, monkeypatch
 ):
-    # the 2:1 pullback at r = 6 has far fewer distinct monomials and
-    # exponent prefixes than terms; sharing them must not change a bit
+    # the 2:1 pullback at r = 6 maps both pairs; the table expansion forms
+    # its products in another order than the per-term reference
     calls = []
 
-    def recording(f, subs):
-        calls.append((f, subs))
-        return compose(f, subs)
+    def recording(f, maps):
+        calls.append((f, maps))
+        return substitute_pairs(f, maps)
 
-    monkeypatch.setattr(invariants, "compose", recording)
+    monkeypatch.setattr(invariants, "substitute_pairs", recording)
     back_transform(truncated_view(res21_nf8, 6))
-    ((f, subs),) = calls
-    assert f.nterms > 1000
-    got = compose(f, subs).as_dict()
-    want = per_term_compose(f, subs).as_dict()
-    assert len(got) > 1000
-    assert got == want
+    ((f, maps),) = calls
+    assert f.nterms > 1000 and all(m is not None for m in maps)
+    got = substitute_pairs(f, maps)
+    want = per_term_compose(
+        f, pair_map_polynomials(maps, f.trunc_order, f.degree_cap)
+    )
+    assert want.nterms > 1000
+    assert coefficient_distance(got, want) <= 1e-15 * want.max_abs()
 
 
 def test_corrupted_generator_is_detected(nf5):

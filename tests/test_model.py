@@ -17,11 +17,12 @@ from magbottle.model import (
     build_builtin_model,
     complexify_nonresonant,
     critical_energy,
+    inverse_complexification,
     parse_potential,
     potential_to_text,
     prepare_resonant,
 )
-from magbottle.polyalg import CanonicalPolynomial, compose, evaluate
+from magbottle.polyalg import evaluate, substitute_pairs
 
 
 # ------------------------------------------------------------- the potential
@@ -211,25 +212,11 @@ def test_omega10_from_quadratic_coefficient():
 
 
 def test_back_substitution_recovers_real_hamiltonian():
-    # substitute q1, p1 by their expressions in (rho, p_rho); slots are
-    # reinterpreted as (rho, p_rho, z, p_z)
+    # the inverse complexification of (q1, p1) undoes the forward one of
+    # complexify_nonresonant; slots are reinterpreted as (rho, p_rho, z, p_z)
     prepared = complexify_nonresonant(build_builtin_model())
-    w = prepared.omega10
-    sa = math.sqrt(2.0 * w) / 2.0
-    sb = math.sqrt(2.0 / w) / 2.0
-    subs = [
-        # q1 = (sqrt(2w) rho - i sqrt(2/w) p_rho)/2 and its partner, with
-        # slots reinterpreted as (rho, p_rho, z, p_z)
-        CanonicalPolynomial.from_terms(
-            [((1, 0, 0, 0), sa, 0), ((0, 1, 0, 0), -1j * sb, 0)], trunc_order=2
-        ),
-        CanonicalPolynomial.from_terms(
-            [((0, 1, 0, 0), sb, 0), ((1, 0, 0, 0), -1j * sa, 0)], trunc_order=2
-        ),
-        CanonicalPolynomial.from_terms([((0, 0, 1, 0), 1.0, 0)], trunc_order=2),
-        CanonicalPolynomial.from_terms([((0, 0, 0, 1), 1.0, 0)], trunc_order=2),
-    ]
-    real_h = compose(prepared.poly, subs)
+    inverse = inverse_complexification(prepared.omega10)
+    real_h = substitute_pairs(prepared.poly, [inverse, None])
     V = build_builtin_model()
     expected = {}
     for (a, b), c in V.as_dict().items():
@@ -333,18 +320,9 @@ def test_resonant_sum_matches_z_complexified_nonresonant():
     prepared_r = resonant_builtin()
     prepared_n = complexify_nonresonant(build_builtin_model())
     s2 = math.sqrt(2.0 * OMEGA2)
-    subs = [
-        CanonicalPolynomial.from_terms([((1, 0, 0, 0), 1.0, 0)], trunc_order=4),
-        CanonicalPolynomial.from_terms([((0, 1, 0, 0), 1.0, 0)], trunc_order=4),
-        CanonicalPolynomial.from_terms(
-            [((0, 0, 1, 0), 1.0 / s2, 0), ((0, 0, 0, 1), 1j / s2, 0)], trunc_order=4
-        ),
-        CanonicalPolynomial.from_terms(
-            [((0, 0, 1, 0), 1j * OMEGA2 / s2, 0), ((0, 0, 0, 1), OMEGA2 / s2, 0)],
-            trunc_order=4,
-        ),
-    ]
-    expected = compose(prepared_n.poly, subs)
+    # z = (q2 + i p2)/s2 and p_z = OMEGA2 (i q2 + p2)/s2
+    forward = ((1.0 / s2, 1j / s2), (1j * OMEGA2 / s2, OMEGA2 / s2))
+    expected = substitute_pairs(prepared_n.poly, [None, forward])
     keys = set()
     for key, _c, _bk in expected.term_items():
         keys.add(tuple(key))

@@ -13,19 +13,18 @@ from magbottle.polyalg import (
     PRUNE_TOL,
     CanonicalPolynomial as CP,
     coefficient_distance,
-    compose,
     conjugate,
     evaluate,
     from_records,
     lie_transform,
     poisson_bracket,
+    substitute_pairs,
     to_records,
 )
 
 from oracles import (
     concatenated_sum,
     four_product_bracket,
-    per_term_compose,
     sorted_product,
     sympy_bracket,
     term_conjugate,
@@ -78,12 +77,21 @@ def test_exponent_validation():
         make([((0, 0, 0, 0), 1.0, -1)])
 
 
+def test_default_degree_cap_past_the_packing_raises():
+    # order-s terms have degree 2s + 2, so the default cap of trunc_order
+    # 127 is 256; clamping it would drop every term of order 127 unseen
+    assert CP.zero(polyalg.MAX_TRUNC_ORDER).degree_cap == 254
+    with pytest.raises(ValueError, match="headroom"):
+        CP.zero(polyalg.MAX_TRUNC_ORDER + 1)
+    assert CP.zero(polyalg.MAX_TRUNC_ORDER + 1, degree_cap=254).degree_cap == 254
+
+
 def test_trunc_discards_on_build_and_multiply():
     p = make([((1, 0, 0, 0), 1.0, 3)], trunc=2)
     assert p.nterms == 0
     a = make([((1, 0, 0, 0), 1.0, 1)], trunc=2)
     prod = a * a  # bk 2, kept
-    assert prod.nterms == 1 and prod.max_bk() == 2
+    assert prod.nterms == 1 and prod.min_bk() == 2
     assert (prod * a).nterms == 0  # bk 3, dropped
 
 
@@ -616,55 +624,52 @@ def test_lie_transform_identity_for_zero_generator():
     assert coefficient_distance(out, f) == 0.0
 
 
-# ------------------------------------------------------- compose / evaluate
+# ---------------------------------------------- substitute_pairs / evaluate
 
 
-def test_compose_matches_pointwise_evaluation():
+def test_substitute_pairs_matches_pointwise_evaluation():
     rng = np.random.default_rng(7)
-    f = make([((2, 0, 1, 0), 1.5, 0), ((0, 1, 0, 2), -2.0j, 1), ((1, 1, 1, 1), 0.3, 2)])
-    subs = [
-        make([((1, 0, 0, 0), 0.6, 0), ((0, 1, 0, 0), 0.5j, 0)]),
-        make([((0, 1, 0, 0), 1.0, 0), ((0, 0, 0, 0), -0.1, 0)]),
-        make([((0, 0, 1, 0), 2.0, 0)]),
-        make([((0, 0, 0, 1), 1.0, 0), ((0, 0, 1, 0), 0.25j, 0)]),
-    ]
-    fc = compose(f, subs)
+    f = make([
+        ((2, 0, 1, 0), 1.5, 0), ((0, 1, 0, 2), -2.0j, 1), ((1, 1, 1, 1), 0.3, 2),
+        ((3, 2, 0, 4), 0.7 - 0.1j, 2), ((0, 0, 0, 0), 0.25, 0),
+    ])
+    maps = ((0.6, 0.5j), (-0.3, 1.1)), ((2.0, -0.4j), (0.25j, 1.0))
+    fs = substitute_pairs(f, maps)
     for _ in range(5):
-        pt = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        inner = [evaluate(s, *pt) for s in subs]
-        assert evaluate(fc, *pt) == pytest.approx(evaluate(f, *inner), rel=1e-12)
+        x1, y1, x2, y2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        inner = [
+            u * x + v * y
+            for matrix, x, y in zip(maps, (x1, x2), (y1, y2))
+            for u, v in matrix
+        ]
+        assert evaluate(fs, x1, y1, x2, y2) == pytest.approx(
+            evaluate(f, *inner), rel=1e-12
+        )
 
 
-def test_compose_keeps_term_bk():
-    f = make([((1, 0, 0, 0), 1.0, 2)])
-    subs = [
-        make([((0, 0, 1, 0), 1.0, 0)]),
-        make([((0, 1, 0, 0), 1.0, 0)]),
-        make([((0, 0, 1, 0), 1.0, 0)]),
-        make([((0, 0, 0, 1), 1.0, 0)]),
-    ]
-    ((_, _, bk),) = list(compose(f, subs).term_items())
-    assert bk == 2
+def test_substitute_pairs_keeps_unmapped_pair_exponents():
+    # pair 1 has no map: every term keeps its (k2, l2) and its bk, and its
+    # pair-0 degree is all that the map of pair 0 may redistribute
+    f = make([((1, 2, 3, 0), 1.0, 2), ((0, 1, 0, 4), 0.5j, 1), ((2, 0, 0, 0), 2.0, 0)])
+    fs = substitute_pairs(f, [((1.0, 2.0), (0.5j, -1.0)), None])
+    seen = {(k.k1 + k.l1, k.k2, k.l2, bk) for k, _c, bk in fs.term_items()}
+    assert seen == {(3, 3, 0, 2), (1, 0, 4, 1), (2, 0, 0, 0)}
+    assert substitute_pairs(f, [None, None]).as_dict() == f.as_dict()
 
 
-def test_compose_carries_partial_sums_across_flushes(monkeypatch):
-    # q1 at bk 0 first gets 1e-7 * 1e-7, at the prune threshold, from the
-    # term q1 of f and then 1.0 from the term p1; with a one-entry buffer a
-    # flush between the two must carry the first, as one merge would
+def test_substitute_pairs_prunes_final_sums_only():
+    # x1 gets 1e-7 * 1e-7, at the prune threshold, from q1 and 1.0 from p1;
+    # y2 gets 1e-7 * 6e-8 from q2 and from p2, each below the threshold but
+    # not their sum
     f = make([
         ((1, 0, 0, 0), 1e-7, 0), ((0, 1, 0, 0), 1.0, 0),
-        ((1, 1, 1, 0), 0.5j, 1), ((2, 0, 0, 1), -0.25, 1),
+        ((0, 0, 1, 0), 1e-7, 0), ((0, 0, 0, 1), 1e-7, 0),
     ])
-    subs = [
-        make([((1, 0, 0, 0), 1e-7, 0), ((0, 0, 1, 0), 0.3, 0)]),
-        make([((1, 0, 0, 0), 1.0, 0), ((0, 1, 0, 0), -0.2j, 0)]),
-        make([((0, 0, 1, 0), 2.0, 0), ((0, 0, 0, 1), 0.1, 0)]),
-        make([((0, 0, 0, 1), 1.0, 0), ((0, 0, 1, 0), 0.25j, 0)]),
-    ]
-    want = per_term_compose(f, subs)
-    assert want.coefficient(1, 0, 0, 0, bk=0) == 1e-7 * 1e-7 + 1.0
-    monkeypatch.setattr(polyalg, "_FLUSH_LIMIT", 1)
-    _assert_bitwise_equal(compose(f, subs), want)
+    fs = substitute_pairs(f, [((1e-7, 0.0), (1.0, 0.0)), ((0.0, 6e-8), (0.0, 6e-8))])
+    assert fs.as_dict() == {
+        (1, 0, 0, 0, 0): 1e-7 * 1e-7 + 1.0,
+        (0, 0, 0, 1, 0): 1e-7 * 6e-8 + 1e-7 * 6e-8,
+    }
 
 
 def test_evaluate_broadcasts():
