@@ -21,10 +21,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -52,7 +55,7 @@ from .model import (
     prepare_resonant,
 )
 from .normform import normalize
-from .polyalg import MAX_TRUNC_ORDER, to_records
+from .polyalg import MAX_TRUNC_ORDER, CanonicalPolynomial
 
 SCHEMA = "magbottle/1"
 
@@ -158,10 +161,72 @@ class RunConfig:
 # ------------------------------------------------------------- serialization
 
 
+#: a polynomial's placeholder string "\0<n>" as ``json.dumps`` writes it; no
+#: other payload value holds a NUL
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def _json_floats(values):
+    """json's spelling of each float64: its repr, or NaN, Infinity, -Infinity."""
+    text = list(map(float.__repr__, values.tolist()))
+    if np.isfinite(values).all():
+        return text
+    spelling = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    return [spelling.get(t, t) for t in text]
+
+
+def _records_json(poly, depth):
+    """``to_records(poly)`` as ``json.dumps(..., sort_keys=True, indent=2)``
+    writes it in a list that opens at nesting ``depth``, rendered straight
+    from the term arrays."""
+    if poly.nterms == 0:
+        return "[]"
+    k1, l1, k2, l2, bk, coeffs = poly.term_arrays(lexicographic=True)
+    columns = {
+        "k1": k1.tolist(),
+        "l1": l1.tolist(),
+        "k2": k2.tolist(),
+        "l2": l2.tolist(),
+        "re": _json_floats(coeffs.real),
+        "im": _json_floats(coeffs.imag),
+        "bk": bk.tolist(),
+    }
+    names = sorted(columns)  # the order sort_keys writes them in
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+    lines = ",\n".join(f'{inner}"{name}": %s' for name in names)
+    record = f"{outer}{{\n{lines}\n{outer}}}"
+    body = ",\n".join(record % row for row in zip(*(columns[n] for n in names)))
+    return f"[\n{body}\n{'  ' * depth}]"
+
+
 def _write_json(path: Path, payload: dict, config_hash: str):
-    body = {"schema": SCHEMA, "config_sha256": config_hash}
-    body.update(payload)
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    """Write ``payload`` under the schema header as ``json.dumps(...,
+    sort_keys=True, indent=2)`` does. A polynomial in it, at any depth, is
+    written as its :func:`to_records` list, rendered from its arrays."""
+    polys = []
+
+    def stub(value):
+        if isinstance(value, CanonicalPolynomial):
+            polys.append(value)
+            return f"\0{len(polys) - 1}"
+        if isinstance(value, list):
+            return [stub(v) for v in value]
+        if isinstance(value, dict):
+            return {k: stub(v) for k, v in value.items()}
+        return value
+
+    body = stub({"schema": SCHEMA, "config_sha256": config_hash, **payload})
+    text = json.dumps(body, sort_keys=True, indent=2)
+
+    def splice(match):
+        # the placeholder's nesting depth is its line's indent
+        line = text[text.rfind("\n", 0, match.start()) + 1 : match.start()]
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        return _records_json(polys[int(match[1])], depth)
+
+    if polys:
+        text = _PLACEHOLDER.sub(splice, text)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, columns, rows, config_hash: str):
@@ -274,21 +339,11 @@ def cmd_normalize(config: RunConfig, out: Path, config_hash: str):
     }
     if bif is not None:
         meta["resonance"] = _bifurcation_dict(bif)
+    _write_json(out / "normalform.json", dict(meta, terms=state.normal_form), config_hash)
     _write_json(
-        out / "normalform.json",
-        dict(meta, terms=to_records(state.normal_form)),
-        config_hash,
+        out / "generators.json", dict(meta, generators=state.generators), config_hash
     )
-    _write_json(
-        out / "generators.json",
-        dict(meta, generators=[to_records(chi) for chi in state.generators]),
-        config_hash,
-    )
-    _write_json(
-        out / "remainder.json",
-        dict(meta, terms=to_records(state.remainder)),
-        config_hash,
-    )
+    _write_json(out / "remainder.json", dict(meta, terms=state.remainder), config_hash)
 
 
 def cmd_section(config: RunConfig, out: Path, config_hash: str):

@@ -33,9 +33,7 @@ from .errors import (
     ParseError,
     UnsupportedPotentialError,
 )
-from .polyalg import _MAX_EXPONENT, CanonicalPolynomial
-
-_IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+from .polyalg import _IPOW, _MAX_EXPONENT, CanonicalPolynomial
 
 _BUILTIN_TERMS = {
     (2, 0): 0.5,
@@ -455,7 +453,7 @@ def _validated_frequency(spec: PotentialSpec) -> float:
 
 def _rho_binomial(a, scale):
     """Coefficients of (q1 + i p1)^a scaled: list of (j, coeff) with j = p1 power."""
-    return [(j, scale * math.comb(a, j) * _IPOW[j % 4]) for j in range(a + 1)]
+    return [(j, scale * math.comb(a, j) * _IPOW[j & 3]) for j in range(a + 1)]
 
 
 def inverse_complexification(omega):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .model import PreparedHamiltonian
 from .polyalg import (
+    _IPOW,
     CanonicalPolynomial,
     _exponents,
     conjugate,
@@ -55,8 +56,6 @@ BLOCK_TOL = 1e-12
 DIVISOR_FLOOR = 1e-9
 #: largest |c - c*| of a prepared Hamiltonian, relative to its largest |c|
 REALITY_TOL = 1e-12
-
-_MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 class KernelSet:
@@ -308,6 +307,14 @@ def normalize(
     one product per complex pair and takes the other as its conjugate (see
     :func:`poisson_bracket`).
 
+    Both also lie on the phase lattice of :mod:`polyalg`: every coefficient
+    of the Hamiltonian is i^(l1+l2) r (theta 0) and every coefficient of a
+    generator i^(1+l1+l2) r (theta 1), with r real. V is real, and the
+    momenta enter only through the kinetic term, so the prepared
+    Hamiltonian has theta 0; the theta of a bracket is that of its factors
+    plus one, mod 2 as i^2 = -1 goes into r, and each homological solver
+    adds one. So every large product of the run is summed in float64.
+
     ``step_callback(r, hamiltonian)``, when given, observes the working
     Hamiltonian after each step; it must not mutate it.
 
@@ -372,7 +379,7 @@ def normalize(
 
 def _real_series_coefficient(gamma, n):
     """Real c with c * i^n = gamma, for coefficients of (i q1 p1)^n terms."""
-    c = gamma * _MINUS_I_POW[n % 4]
+    c = gamma * _IPOW[-n & 3]
     if abs(c.imag) > 1e-10 * max(1.0, abs(c)):
         raise NonRealIntegralError(
             f"coefficient {gamma} at action power {n} is not real after "

@@ -84,6 +84,25 @@ form (r=8, trunc 10) by 1.7e-10, past the rounding that the benchmark's
 reference check allows. The back-transform keeps both products of every
 pair: on a generator that is not real the identity forces a real result,
 which would hide the defect.
+
+Phase lattice
+-------------
+A polynomial is on the phase lattice when every coefficient is
+i^(theta + l1 + l2) r with r real, theta 0 or 1 for the whole polynomial,
+and l1, l2 the term's p1 and p2 exponents; the normalization keeps its
+Hamiltonians at theta 0 and its generators at theta 1 (see
+:func:`~magbottle.normform.normalize`). A product of two such factors is
+summed in float64 and turned back at the end. That is exact: a complex
+product of two numbers on the axes is the real product with the phases
+added, bit for bit, since every other partial product is a zero; and all
+entries of a reducer cell share its key, hence its phase, so the cell's
+complex sum is its real sum turned by that phase, with the off-axis part
++0.0 as the complex sums give it (adding +0.0 after the turn clears a -0.0
+there). Only a cell that cancels to exactly zero may differ, in the sign of
+its zero, and it is pruned either way. A factor off the lattice, a NaN or
+an infinity among them, is multiplied in complex. The check and the turns
+cost O(nterms), so a product takes this path only when the term counts of
+its factors multiply to at least ``_DENSE_MIN_RAW``.
 """
 
 from __future__ import annotations
@@ -298,21 +317,22 @@ class CanonicalPolynomial:
     def term_items(self):
         """Yield ``(ExponentKey, coeff, bk)`` sorted lexicographically by
         (k1, l1, k2, l2, bk)."""
-        if self.nterms == 0:
-            return
-        k1, l1, k2, l2, bk, coeffs = self.term_arrays()
-        order = np.lexsort((bk, l2, k2, l1, k1))
-        for i in order:
-            yield (
-                ExponentKey(int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i])),
-                complex(coeffs[i]),
-                int(bk[i]),
-            )
+        arrays = self.term_arrays(lexicographic=True)
+        k1, l1, k2, l2, bk, coeffs = (a.tolist() for a in arrays)
+        for key, c, s in zip(zip(k1, l1, k2, l2), coeffs, bk):
+            yield ExponentKey(*key), c, s
 
-    def term_arrays(self):
+    def term_arrays(self, lexicographic=False):
         """Return ``(k1, l1, k2, l2, bk, coeffs)``, one array entry per term,
-        in storage order (ascending bk)."""
-        return (*_exponents(self._keys), _bk_orders(self._keys), self._coeffs)
+        in storage order (ascending bk), or with ``lexicographic`` sorted by
+        (k1, l1, k2, l2, bk), the order of :meth:`term_items` and
+        :func:`to_records`."""
+        arrays = (*_exponents(self._keys), _bk_orders(self._keys), self._coeffs)
+        if not lexicographic:
+            return arrays
+        # lexsort's last key is its primary one: (bk, l2, k2, l1, k1)
+        order = np.lexsort(arrays[4::-1])
+        return tuple(a[order] for a in arrays)
 
     def as_dict(self):
         """Return ``{(k1, l1, k2, l2, bk): coeff}``."""
@@ -348,15 +368,18 @@ class CanonicalPolynomial:
             _canonical=True,
         )
 
-    def _bk_slices(self):
-        """Yield ``(s, keys, coeffs)`` per book-keeping group, ascending."""
+    def _bk_slices(self, coeffs=None):
+        """Yield ``(s, keys, coeffs)`` per book-keeping group, ascending;
+        ``coeffs``, one entry per term, replaces the coefficients."""
         if self.nterms == 0:
             return
+        if coeffs is None:
+            coeffs = self._coeffs
         bk = _bk_orders(self._keys)
         # the keys are sorted with bk in the top bits, so each order is a run
         bounds = np.flatnonzero(np.concatenate([[True], bk[1:] != bk[:-1], [True]]))
         for i0, i1 in zip(bounds[:-1], bounds[1:]):
-            yield int(bk[i0]), self._keys[i0:i1], self._coeffs[i0:i1]
+            yield int(bk[i0]), self._keys[i0:i1], coeffs[i0:i1]
 
     def bk_part(self, s):
         """The sub-polynomial at book-keeping order ``s``."""
@@ -534,10 +557,11 @@ class _Reducer:
 
     def _reduce(self):
         """Sum the batch into the cells, the carried sums first; ``pending``
-        counts both, so it sizes the buffers."""
+        counts both, so it sizes the buffers. The sums take the dtype of the
+        pushed coefficients, float64 or complex128."""
         n = self.cells.size
         codes = np.empty(self.pending, dtype=np.int64)
-        coeffs = np.empty(self.pending, dtype=np.complex128)
+        coeffs = np.empty(self.pending, dtype=self.batch[0][2].dtype)
         if n:
             codes[:n], coeffs[:n] = self.cells, self.sums
         for col, row, xcol, xrow in self.batch:
@@ -550,18 +574,19 @@ class _Reducer:
                 xcol[:, None], xrow[None, :], out=coeffs[n : n + size].reshape(shape)
             )
             n += size
-        parts = coeffs.real, coeffs.imag
+        # one weighted bincount per real component
+        parts = (coeffs.real, coeffs.imag) if coeffs.dtype.kind == "c" else (coeffs,)
         if self.compact:
             self.cells = np.flatnonzero(np.bincount(codes) != 0)
-            re, im = [np.bincount(codes, weights=w)[self.cells] for w in parts]
+            sums = [np.bincount(codes, weights=w)[self.cells] for w in parts]
         else:
             self.cells, index = np.unique(codes, return_inverse=True)
-            re, im = [np.bincount(index, weights=w) for w in parts]
-        self.sums = re + 1j * im
+            sums = [np.bincount(index, weights=w) for w in parts]
+        self.sums = sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
         self.batch, self.pending = [], self.cells.size
 
     def result(self):
-        """The occupied cells and their complex sums, unpruned."""
+        """The occupied cells and their sums, unpruned."""
         if self.batch:
             self._reduce()
         return self.cells, self.sums
@@ -626,14 +651,39 @@ def _dense_order(s, pairs, raw, bounds):
     return keys, merged[keep]
 
 
+def _p_degrees(keys):
+    """l1 + l2 of packed ``keys``, the power of i in a lattice phase."""
+    return ((keys >> _SHIFTS[1]) & _FIELD) + ((keys >> _SHIFTS[3]) & _FIELD)
+
+
+def _lattice(f):
+    """``(theta, r)`` with every coefficient of ``f`` equal to
+    i^(theta + l1 + l2) r, r real and theta 0 or 1, or None when ``f`` is off
+    the phase lattice (see "Phase lattice" above)."""
+    rotated = _IPOW[-_p_degrees(f._keys) & 3] * f._coeffs
+    # a NaN or an infinity rotates to NaN in both parts and is off the lattice
+    if not rotated.imag.any():
+        return 0, rotated.real
+    if not rotated.real.any():
+        return 1, rotated.imag
+    return None
+
+
 def _multiply(f, g):
     """Product of two polynomials with book-keeping truncation."""
     bounds = f._binary_bounds(g)
     if f.nterms == 0 or g.nterms == 0:
         return CanonicalPolynomial.zero(*bounds)
-    g_groups = [(s2, _Group(k, c)) for s2, k, c in g._bk_slices()]
+    # a large product of two lattice factors is summed in float64
+    theta, fc, gc = None, f._coeffs, g._coeffs
+    if f.nterms * g.nterms >= _DENSE_MIN_RAW:
+        lf = _lattice(f)
+        lg = lf and _lattice(g)
+        if lg:
+            theta, fc, gc = lf[0] + lg[0], lf[1], lg[1]
+    g_groups = [(s2, _Group(k, c)) for s2, k, c in g._bk_slices(gc)]
     by_order = {}
-    for s1, k, c in f._bk_slices():
+    for s1, k, c in f._bk_slices(fc):
         a = _Group(k, c)
         for s2, b in g_groups:
             if s1 + s2 > bounds[0]:
@@ -660,6 +710,9 @@ def _multiply(f, g):
         keys = np.concatenate([keys, *key_blocks])
         order = np.argsort(keys)
         keys, coeffs = keys[order], np.concatenate([coeffs, *coeff_blocks])[order]
+    if theta is not None:
+        # turn the real sums back; + 0.0 makes the off-axis zero +0.0
+        coeffs = _IPOW[(theta + _p_degrees(keys)) & 3] * coeffs + 0.0
     return CanonicalPolynomial(keys, coeffs, *bounds, _canonical=True)
 
 

@@ -10,16 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magbottle import cli
+from magbottle import cli, polyalg
 from magbottle.cli import (
     SCHEMA,
     RunConfig,
     _config_from_args,
     _field_rows,
+    _records_json,
     _write_csv,
+    _write_json,
     build_parser,
 )
 from magbottle.invariants import SectionLevelSet
+from magbottle.polyalg import CanonicalPolynomial, to_records
 
 from oracles import per_cell_field_lines
 
@@ -81,6 +84,65 @@ def test_section_replay_is_byte_identical(tmp_path):
     run_cli("--config", out / "run_config.json")
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+def test_normalize_replay_is_byte_identical(tmp_path):
+    out = tmp_path / "run"
+    run_cli(
+        "normalize", "--mode", "res", "--m1", 2, "--m2", 1, "--order", 3,
+        "--trunc", 5, "--out", out,
+    )
+    names = ["generators.json", "normalform.json", "remainder.json"]
+    assert sorted(p.name for p in out.iterdir()) == [*names, "run_config.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    run_cli("--config", out / "run_config.json")
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def _awkward_poly():
+    """Terms with -0.0, subnormal, 1e17-scale and non-finite coefficients,
+    stored out of their record order."""
+    terms = {
+        (0, 0, 0, 2, 0): complex(-0.0, 5e-324),
+        (1, 1, 0, 0, 0): complex(1.2345678901234567e17, -3e-17),
+        (3, 1, 0, 2, 1): complex(float("nan"), 0.0),
+        (1, 0, 4, 0, 2): complex(float("inf"), float("-inf")),
+        (0, 2, 1, 1, 2): complex(1 / 3, -0.0),
+        (2, 0, 0, 0, 1): complex(-1e-300, 7.0),
+    }
+    keys = [polyalg._pack(*key) for key in terms]
+    order = np.argsort(keys)
+    coeffs = np.array(list(terms.values()))
+    return CanonicalPolynomial(
+        np.array(keys)[order], coeffs[order], trunc_order=2, _canonical=True
+    )
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_records_json_equals_json_dumps_at_depths_1_and_2(empty):
+    poly = CanonicalPolynomial.zero(2) if empty else _awkward_poly()
+    records = to_records(poly)
+    terms = json.dumps({"terms": records}, sort_keys=True, indent=2)
+    assert terms == '{\n  "terms": ' + _records_json(poly, 1) + "\n}"
+    generators = json.dumps({"generators": [records]}, sort_keys=True, indent=2)
+    assert generators == (
+        '{\n  "generators": [\n    ' + _records_json(poly, 2) + "\n  ]\n}"
+    )
+
+
+def test_write_json_splices_records_into_the_payload(tmp_path):
+    poly, zero = _awkward_poly(), CanonicalPolynomial.zero(2)
+    payload = {"order": 2, "terms": poly, "generators": [poly, zero, poly]}
+    _write_json(tmp_path / "out.json", payload, "abc")
+    want = {
+        "schema": SCHEMA,
+        "config_sha256": "abc",
+        "order": 2,
+        "terms": to_records(poly),
+        "generators": [to_records(p) for p in (poly, zero, poly)],
+    }
+    text = (tmp_path / "out.json").read_text()
+    assert text == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_field_rows_match_per_cell_formatting(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from magbottle.errors import (
     OrderOverflowError,
     SmallDivisorError,
 )
+from magbottle.analysis import bifurcation_energy
 from magbottle.model import (
+    PotentialSpec,
     build_builtin_model,
     complexify_nonresonant,
     parse_potential,
@@ -29,6 +32,7 @@ from magbottle.normform import (
 )
 from magbottle.polyalg import (
     CanonicalPolynomial,
+    _lattice,
     coefficient_distance,
     conjugate,
     lie_transform,
@@ -455,3 +459,43 @@ def test_normalize_refuses_a_non_real_hamiltonian(mode):
     with pytest.raises(NonRealHamiltonianError):
         normalize(dataclasses.replace(prep, poly=bad), r_max=1, r_trunc=2)
     normalize(prep, r_max=1, r_trunc=2)
+
+
+# -------------------------------------------------------------- phase lattice
+
+
+def jittered_spec(seed):
+    """The builtin model with each non-quadratic coefficient scaled by a
+    factor in [0.95, 1.05]."""
+    rng = random.Random(seed)
+    return PotentialSpec(
+        {
+            key: c if key == (2, 0) else c * (1.0 + rng.uniform(-0.05, 0.05))
+            for key, c in build_builtin_model().as_dict().items()
+        }
+    )
+
+
+def lattice_theta(poly):
+    """theta of a polynomial on the phase lattice, None off it."""
+    lattice = _lattice(poly)
+    return None if lattice is None else lattice[0]
+
+
+@pytest.mark.parametrize("potential", ["builtin", 1, 2])
+@pytest.mark.parametrize("mode", ["nonresonant", "resonant"])
+def test_normalization_stays_on_the_phase_lattice(potential, mode):
+    # the prepared H and every Lie image of it have theta 0, every
+    # generator theta 1, so each large product is summed in float64
+    spec = build_builtin_model() if potential == "builtin" else jittered_spec(potential)
+    prep = complexify_nonresonant(spec)
+    if mode == "resonant":
+        bif = bifurcation_energy(normalize(prep, r_max=8, r_trunc=9), 2, 1)
+        prep = prepare_resonant(spec, 2, 1, I1_star=bif.I1_star,
+                                omega1=bif.omega1, omega2=bif.omega2)
+    state = normalize(prep, r_max=6, r_trunc=8)
+    for poly in (prep.poly, state.normal_form, state.remainder):
+        assert poly.nterms and lattice_theta(poly) == 0
+    chis = [chi for chi in state.generators if chi.nterms]
+    assert chis
+    assert all(lattice_theta(chi) == 1 for chi in chis)

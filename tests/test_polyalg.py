@@ -215,11 +215,16 @@ _PRODUCT_SHAPES = {"small": (30, 4), "dense": (260, 4), "sparse": (220, 40)}
 _PRODUCT_COEFFS = (1.0, -1.0, 0.1, -0.1, 1 / 3, -1 / 3, 2.5, 1e-7)
 
 
-def _random_factor(rng, n, top, n_groups, bounds):
-    """``n`` drawn terms of mixed degree over ``n_groups`` bk groups."""
+def _random_factor(rng, n, top, n_groups, bounds, theta=None):
+    """``n`` drawn terms of mixed degree over ``n_groups`` bk groups; with
+    ``theta``, each coefficient is i^(theta + l1 + l2) r with r real."""
     exps = rng.integers(0, top + 1, size=(n, 4))
     pool = np.array(_PRODUCT_COEFFS)
-    coeffs = rng.choice(pool, n) + 1j * rng.choice(pool, n) * rng.integers(0, 2, n)
+    if theta is None:
+        coeffs = rng.choice(pool, n) + 1j * rng.choice(pool, n) * rng.integers(0, 2, n)
+    else:
+        phases = polyalg._IPOW[(theta + exps[:, 1] + exps[:, 3]) & 3]
+        coeffs = phases * rng.choice(pool, n)
     bks = rng.integers(0, n_groups, n)
     return CP.from_terms(
         [(tuple(e), c, bk) for e, c, bk in zip(exps, coeffs, bks)], *bounds
@@ -349,6 +354,84 @@ def test_sorted_product_keeps_small_partial_sums_across_flushes(monkeypatch):
     assert want.coefficient(1, 1, 0, 0, bk=1) == 1e-7 * 1e-7 + 1.0
     monkeypatch.setattr(polyalg, "_FLUSH_LIMIT", 3)
     _assert_bitwise_equal(f * g, want)
+
+
+def _reduced_dtypes(f, g):
+    """``f * g`` and the dtype of the sums of every reduction it made."""
+    dtypes = []
+    reduce = polyalg._Reducer._reduce
+
+    def spy(self):
+        reduce(self)
+        dtypes.append(self.sums.dtype)
+
+    with mock.patch.object(polyalg._Reducer, "_reduce", spy):
+        return f * g, dtypes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["dense", "sparse"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from([0, 1]),
+    st.sampled_from([0, 1]),
+    st.sampled_from([None, 700]),
+)
+@example("dense", 1, 2, 0, 1, 700)
+@example("sparse", 2, 2, 1, 1, 700)
+@example("dense", 3, 1, 1, 0, None)
+def test_lattice_product_equals_sorted_reference(
+    shape, seed, n_groups, theta_f, theta_g, flush
+):
+    # two factors on the phase lattice are summed in float64 and turned
+    # back; every bit matches the complex sort-and-merge, also when a small
+    # buffer carries the sums across many reductions
+    n, top = _PRODUCT_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    bounds = (n_groups, 4 * top, None)
+    f = _random_factor(rng, n, top, n_groups, bounds, theta_f)
+    g = _random_factor(rng, n * 4 // 5, top, n_groups, bounds, theta_g)
+    assert polyalg._lattice(f)[0] == theta_f
+    assert polyalg._lattice(g)[0] == theta_g
+    want = sorted_product(f, g)
+    with mock.patch.multiple(
+        polyalg,
+        _FLUSH_LIMIT=flush or polyalg._FLUSH_LIMIT,
+        _DENSE_BOX_PER_RAW=10**3 if flush else polyalg._DENSE_BOX_PER_RAW,
+    ):
+        got, dtypes = _reduced_dtypes(f, g)
+    assert dtypes and all(d == np.float64 for d in dtypes)
+    if flush:
+        assert len(dtypes) > 10
+    _assert_bitwise_equal(got, want)
+
+
+def test_off_lattice_factor_takes_the_complex_path():
+    # one coefficient off both axes puts its factor off the lattice
+    rng = np.random.default_rng(8)
+    bounds = (2, 16, None)
+    f = _random_factor(rng, 260, 4, 2, bounds, 0)
+    g = _random_factor(rng, 200, 4, 2, bounds, 1)
+    f = f + make([((1, 0, 0, 0), 0.5 + 0.25j, 0)], trunc=2, cap=16)
+    assert polyalg._lattice(f) is None
+    assert polyalg._lattice(g) is not None
+    for a, b in ((f, g), (g, f)):
+        got, dtypes = _reduced_dtypes(a, b)
+        assert dtypes and all(d == np.complex128 for d in dtypes)
+        _assert_bitwise_equal(got, sorted_product(a, b))
+
+
+def test_small_lattice_product_takes_the_complex_path():
+    # below the size rule a product is summed in complex, lattice or not
+    rng = np.random.default_rng(9)
+    bounds = (2, 16, None)
+    f = _random_factor(rng, 40, 4, 2, bounds, 0)
+    g = _random_factor(rng, 30, 4, 2, bounds, 1)
+    assert f.nterms * g.nterms < polyalg._DENSE_MIN_RAW
+    got, dtypes = _reduced_dtypes(f, g)
+    assert dtypes and all(d == np.complex128 for d in dtypes)
+    _assert_bitwise_equal(got, sorted_product(f, g))
 
 
 def test_multiply_bk_is_additive():
