@@ -323,17 +323,30 @@ class BifurcationResult:
     energy: float
 
 
+#: the action ceiling's ladder 1e-3 * 1.05^k, formed by repeated
+#: multiplication and long enough to pass 1e3
+_CEILING_LADDER = np.cumprod(np.r_[1e-3, np.full(300, 1.05)])
+
+
 def _action_ceiling(Z_eq, omega1_eq, e_crit):
-    """Largest action the series can be trusted on: the equatorial energy
-    reaching the escape threshold or the series turning over, whichever
-    comes first."""
-    I = 1e-3
-    while omega1_eq(I) > 0.0 and Z_eq(I) < e_crit and I < 1e3:
-        I *= 1.05
-    return I
+    """Largest action the series can be trusted on: the first rung of the
+    ladder where the equatorial energy reaches the escape threshold, the
+    series turns over, or 1e3 is passed, whichever comes first."""
+    I = _CEILING_LADDER
+    # rungs past the ceiling may overflow; they only read as out of range
+    with np.errstate(over="ignore", invalid="ignore"):
+        trusted = (omega1_eq(I) > 0.0) & (Z_eq(I) < e_crit) & (I < 1e3)
+    return float(I[np.argmin(trusted)])
 
 
 def _solve_resonance(energy_series, omega2_series, m1, m2, e_crit):
+    """The m1:m2 resonance on the series, located on a 512-point grid.
+
+    The grid is evaluated as arrays; numpy's vector powers may differ from
+    the scalar ones in the last bit, which can move a grid sign only where
+    the detuning is within rounding of zero.  ``brentq`` and the returned
+    values use the scalar ``detune``.
+    """
     Z_eq = _power_series(energy_series)
     omega1_eq = _power_series({n - 1: n * c for n, c in energy_series.items()})
     omega2sq = _power_series(omega2_series)
@@ -343,7 +356,15 @@ def _solve_resonance(energy_series, omega2_series, m1, m2, e_crit):
 
     I_hi = _action_ceiling(Z_eq, omega1_eq, e_crit)
     grid = np.linspace(1e-6, I_hi, 512)
-    values = np.array([detune(I) for I in grid])
+    w2 = omega2sq(grid)
+    negative = np.flatnonzero(w2 < 0.0)
+    if negative.size:
+        i = int(negative[0])
+        raise NoRootError(
+            f"omega2^2 = {w2[i]:.6g} < 0 at I1 = {grid[i]:.6g} below the "
+            f"action ceiling {I_hi:.4g}: no {m1}:{m2} resonance on this series"
+        )
+    values = m2 * omega1_eq(grid) - m1 * np.sqrt(w2)
     flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if flips.size == 0:
         raise NoRootError(
@@ -379,7 +400,8 @@ def bifurcation_energy(state, m1: int, m2: int) -> BifurcationResult:
     Raises
     ------
     NoRootError
-        If the resonance condition has no sign change below I_max.
+        If the resonance condition has no sign change below I_max, or
+        omega2^2 turns negative on the scan grid.
     """
     e_series = equatorial_energy_series(state)
     w_series = extract_omega2_squared(state)

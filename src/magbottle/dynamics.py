@@ -9,7 +9,15 @@ The central (equatorial) periodic orbit lives in the invariant plane
 z = p_z = 0.  Its linear stability in the transverse direction is governed
 by delta-z'' = -d2V/dz2(rho(t), 0) delta-z; the coefficient is even in rho
 and therefore repeats with the half period, so the monodromy matrix over a
-full period is the square of the half-period variational matrix.
+full period is the square of the half-period variational matrix.  A
+quarter period already fixes that matrix:
+
+1. Time reversal with rho -> -rho fixes the axis crossing (0, p_rho) at
+   T/4 of the orbit started at (rho_max, 0): rho(T/4 + s) = -rho(T/4 - s).
+2. The curvature, even in rho, is then symmetric about T/4, so the flow
+   from T/4 to T/2 is S M_q^-1 S with S = diag(1, -1), and for
+   M_q = [[a, b], [c, d]], M_half = [[ad+bc, 2bd], [2ac, ad+bc]].
+3. det M_half = (ad-bc)^2 = det(M_q)^2, and Tr M_half = 2(ad+bc).
 """
 
 from __future__ import annotations
@@ -123,6 +131,8 @@ class MonodromyResult:
     period: float
     matrix: np.ndarray
     half_matrix: np.ndarray = field(repr=False, default=None)
+    #: right-hand-side evaluations of the integration (``sol.nfev``)
+    n_rhs: int = 0
 
     @property
     def trace(self) -> float:
@@ -333,10 +343,19 @@ def central_orbit_monodromy(
     """Monodromy matrix of the transverse (z, p_z) variations at energy E.
 
     Integrates the in-plane orbit from its turning point (rho_max, 0)
-    together with two variational columns until p_rho returns to zero
-    (half a period, by the rho -> -rho symmetry of the libration); the full
-    monodromy matrix is the square of the half-period matrix because the
-    variational coefficient d2V/dz2(rho(t), 0) is even in rho.
+    together with two variational columns until rho falls through zero, a
+    quarter period, and rebuilds the half-period matrix from the quarter
+    matrix M_q = [[a, b], [c, d]]:
+
+    1. time reversal with rho -> -rho maps the orbit onto itself about its
+       axis crossing at T/4;
+    2. d2V/dz2(rho(t), 0), even in rho, is thus symmetric about T/4, so the
+       flow from T/4 to T/2 is S M_q^-1 S with S = diag(1, -1), and
+       M_half = S M_q^-1 S M_q = [[ad+bc, 2bd], [2ac, ad+bc]];
+    3. det M_half = det(M_q)^2, so the symmetry keeps M_half symplectic.
+
+    The full monodromy matrix is the square of the half-period matrix
+    because the curvature repeats with the half period.
     """
     V = resolve_potential(potential)
     rho_max = equatorial_turning_point(E, V)
@@ -353,11 +372,11 @@ def central_orbit_monodromy(
             curv += c * rho**a
         return (prho, -force, dp1, -curv * dz1, dp2, -curv * dz2)
 
-    def half_turn(_t, y):
-        return y[1]
+    def quarter_turn(_t, y):
+        return y[0]
 
-    half_turn.terminal = True
-    half_turn.direction = 1.0  # p_rho rises back through zero at -rho_max
+    quarter_turn.terminal = True
+    quarter_turn.direction = -1.0  # rho falls from rho_max through the axis
     sol = solve_ivp(
         rhs,
         (0.0, 1e4),
@@ -365,20 +384,21 @@ def central_orbit_monodromy(
         method="DOP853",
         rtol=tol * _RTOL_FACTOR,
         atol=tol * _ATOL_FACTOR,
-        events=[half_turn],
+        events=[quarter_turn],
     )
     if not sol.t_events[0].size:
-        raise RuntimeError(f"no half period found at E={E}")
-    t_half = float(sol.t_events[0][0])
-    y = sol.y_events[0][0]
-    half = np.array([[y[2], y[4]], [y[3], y[5]]])
+        raise RuntimeError(f"no quarter period found at E={E}")
+    t_quarter = float(sol.t_events[0][0])
+    _, _, a, c, b, d = sol.y_events[0][0]
+    diagonal = a * d + b * c
+    half = np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
     return MonodromyResult(
-        energy=E, period=2.0 * t_half, matrix=half @ half, half_matrix=half
+        energy=E,
+        period=4.0 * t_quarter,
+        matrix=half @ half,
+        half_matrix=half,
+        n_rhs=int(sol.nfev),
     )
-
-
-def _half_trace(E, tol, potential):
-    return float(np.trace(central_orbit_monodromy(E, tol, potential).half_matrix))
 
 
 def numerical_bifurcation_energy(
@@ -414,7 +434,8 @@ def numerical_bifurcation_energy(
 
     def f(E):
         if E not in traces:
-            traces[E] = _half_trace(E, tol, potential)
+            half = central_orbit_monodromy(E, tol, potential).half_matrix
+            traces[E] = float(np.trace(half))
         return traces[E] - target
 
     # Tr(M_half) leaves (-2, 2) beyond the 1:1 transition and comes back at
@@ -423,10 +444,12 @@ def numerical_bifurcation_energy(
     lo, hi = bracket
     grid = np.linspace(lo, hi, 34)
     f_left = f(float(grid[0]))
+    if f_left == 0.0:
+        return float(grid[0])
     for left, right in zip(grid, grid[1:]):
-        if f_left == 0.0:
-            return float(left)
         f_right = f(float(right))
+        if f_right == 0.0:
+            return float(right)
         if f_left > 0.0 > f_right or f_left < 0.0 < f_right:
             return float(brentq(f, float(left), float(right), xtol=xtol))
         f_left = f_right

@@ -11,6 +11,7 @@ import pytest
 from magbottle.analysis import bifurcation_energy, capture_remainder_profile
 from magbottle.dynamics import OrbitState, integrate
 from magbottle.model import (
+    PotentialSpec,
     build_builtin_model,
     complexify_nonresonant,
     prepare_resonant,
@@ -25,6 +26,17 @@ def truncated_view(state, r):
     stored Hamiltonian still reflects the deeper run.
     """
     return dataclasses.replace(state, r=r, generators=state.generators[:r])
+
+
+def jittered_builtin(rng):
+    """The builtin model with each non-quadratic coefficient scaled by a
+    factor in [0.95, 1.05] drawn from ``rng``."""
+    return PotentialSpec(
+        {
+            key: c if key == (2, 0) else c * (1.0 + rng.uniform(-0.05, 0.05))
+            for key, c in build_builtin_model().as_dict().items()
+        }
+    )
 
 
 @pytest.fixture(scope="session")

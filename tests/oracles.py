@@ -9,7 +9,8 @@ section read off a global dense output, a composition that forms every
 monomial on its own, a product that sums its raw terms by sorting them, a
 sum that sorts the terms of both operands, a bracket that forms both
 products of every pair, a section field that adds one grid pass per term,
-and a field CSV formatted cell by cell.
+a field CSV formatted cell by cell, a monodromy integrated over a half
+period, and a resonance scan that evaluates its grid one action at a time.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from math import comb, sqrt
 import numpy as np
 import sympy as sp
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 Q1, P1, Q2, P2 = sp.symbols("q1 p1 q2 p2")
 _VARS = (Q1, P1, Q2, P2)
@@ -316,8 +318,8 @@ def return_map_trace(E, h=1e-6, t_max=12.0):
     The central periodic orbit of the builtin bottle crosses the section
     rho = 0, p_rho > 0 at (z, p_z) = (0, 0).  The Jacobian of the first
     return map there is taken by central differences of step ``h`` on the
-    full 4-D flow; no variational equations and no half-period symmetry are
-    used.  The orbit is linearly stable while |trace| < 2.
+    full 4-D flow; no variational equations and neither the half- nor the
+    quarter-period symmetry are used.  The orbit is linearly stable while |trace| < 2.
     ``t_max`` must exceed one period of the central orbit (7.65 at
     E = 0.37).
     """
@@ -354,6 +356,89 @@ def dense_section_reference(rhs, y0, n_crossings, t_max, rtol, atol):
     times = sol.t_events[0][:n_crossings]
     assert times.size == n_crossings, f"{times.size} crossings within t = {t_max}"
     return [(sol.sol(t)[1], sol.sol(t)[3], t) for t in times]
+
+
+# ---------------------------------------------------------------------------
+# central-orbit monodromy over a half period
+# ---------------------------------------------------------------------------
+
+
+def half_period_monodromy(potential, rho_max, rtol, atol):
+    """(period, M_half, nfev) of the central orbit, integrated over half a
+    period.
+
+    Starts at the turning point (rho_max, 0) with the two transverse
+    variational columns and stops where p_rho rises back through zero at
+    -rho_max; the half-period matrix is read off the state there.
+    """
+    rho_terms = [
+        (a, c) for (a, b), c in potential.derivative(1, 0).as_dict().items() if b == 0
+    ]
+    zz_terms = [
+        (a, c) for (a, b), c in potential.derivative(0, 2).as_dict().items() if b == 0
+    ]
+
+    def rhs(_t, y):
+        rho, prho, dz1, dp1, dz2, dp2 = y
+        force = sum(c * rho**a for a, c in rho_terms)
+        curv = sum(c * rho**a for a, c in zz_terms)
+        return (prho, -force, dp1, -curv * dz1, dp2, -curv * dz2)
+
+    def half_turn(_t, y):
+        return y[1]
+
+    half_turn.terminal = True
+    half_turn.direction = 1.0
+    sol = solve_ivp(
+        rhs, (0.0, 1e4), [rho_max, 0.0, 1.0, 0.0, 0.0, 1.0],
+        method="DOP853", rtol=rtol, atol=atol, events=[half_turn],
+    )
+    assert sol.t_events[0].size, "no half period"
+    y = sol.y_events[0][0]
+    half = np.array([[y[2], y[4]], [y[3], y[5]]])
+    return 2.0 * float(sol.t_events[0][0]), half, int(sol.nfev)
+
+
+# ---------------------------------------------------------------------------
+# resonance scan, one grid action at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_grid_resonance(energy_series, omega2_series, m1, m2, e_crit):
+    """(m1, m2, I1*, omega1, omega2, energy) of the m1:m2 equatorial
+    resonance, every series evaluated on Python floats.
+
+    The action ceiling climbs by a factor 1.05 from 1e-3 until the energy
+    reaches ``e_crit``, omega1 turns over, or the action passes 1e3; the
+    detuning is scanned on 512 points below it and its first sign change
+    refined by ``brentq``.
+    """
+
+    def series(coefficients):
+        items = sorted(coefficients.items())
+        return lambda I: sum(c * I**n for n, c in items)
+
+    Z_eq = series(energy_series)
+    omega1_eq = series({n - 1: n * c for n, c in energy_series.items()})
+    omega2sq = series(omega2_series)
+
+    def detune(I):
+        return m2 * omega1_eq(I) - m1 * sqrt(omega2sq(I))
+
+    I_hi = 1e-3
+    while omega1_eq(I_hi) > 0.0 and Z_eq(I_hi) < e_crit and I_hi < 1e3:
+        I_hi *= 1.05
+    grid = np.linspace(1e-6, I_hi, 512)
+    values = [detune(I) for I in grid]
+    for i in range(len(grid) - 1):
+        a, b = values[i], values[i + 1]
+        if a > 0.0 > b or a < 0.0 < b:
+            I_star = brentq(detune, grid[i], grid[i + 1], xtol=1e-14)
+            return (
+                int(m1), int(m2), float(I_star), float(omega1_eq(I_star)),
+                float(sqrt(omega2sq(I_star))), float(Z_eq(I_star)),
+            )
+    raise AssertionError(f"no {m1}:{m2} sign change below I1 = {I_hi}")
 
 
 # ---------------------------------------------------------------------------

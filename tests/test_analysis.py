@@ -1,5 +1,7 @@
 """Tests for remainder norms, optimal-order scans, and bifurcation solves."""
 
+import random
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 
 from magbottle.analysis import (
     DEFAULT_DELTA_E_GRID,
+    BifurcationResult,
     _solve_resonance,
+    _truncated,
     bifurcation_energy,
     chaos_threshold_convergence,
     optimal_order_scan,
@@ -21,7 +25,16 @@ from magbottle.errors import (
     NoRootError,
     RangeError,
 )
-from magbottle.normform import normalize
+from magbottle.cli import _series_state
+from magbottle.model import build_builtin_model, critical_energy
+from magbottle.normform import (
+    equatorial_energy_series,
+    extract_omega2_squared,
+    normalize,
+)
+
+from conftest import jittered_builtin
+from oracles import scalar_grid_resonance
 
 # ------------------------------------------------------------- remainder norm
 
@@ -171,6 +184,42 @@ def test_multiple_roots_warns():
     with pytest.warns(MultipleRootsWarning):
         result = _solve_resonance(energy, omega2, 1, 1, e_crit=10.0)
     assert result.I1_star == pytest.approx(0.1158, abs=1e-3)
+
+
+def test_negative_omega2_squared_raises_no_root_error():
+    # omega2^2 = I - 3 I^2 turns negative at I = 1/3, below the ceiling
+    with pytest.raises(NoRootError, match="omega2") as info:
+        _solve_resonance({1: 1.0, 2: -0.1}, {1: 1.0, 2: -3.0}, 2, 1, 1.0)
+    value, action = map(
+        float, re.search(r"= (\S+) < 0 at I1 = (\S+) ", str(info.value)).groups()
+    )
+    assert 1.0 / 3.0 < action < 1.0 / 3.0 + 0.01
+    assert value == pytest.approx(action - 3.0 * action**2, abs=1e-6)
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+def test_array_grid_equals_the_scalar_loop(jittered):
+    # the chaos table r = 10..15 and the 3:1 and 2:1 locators, as the
+    # chaos-threshold and bifurcation commands solve them
+    spec = jittered_builtin(random.Random(3)) if jittered else build_builtin_model()
+    e_crit = critical_energy(spec)
+    cases = []
+    deep = _series_state(spec, 15, 15)
+    e_series = equatorial_energy_series(deep)
+    w_series = extract_omega2_squared(deep)
+    for r in range(10, 16):
+        cases.append((_truncated(e_series, r + 1), _truncated(w_series, r), 1, 1))
+    locator = _series_state(spec, 8, 9)
+    for m1, m2 in ((3, 1), (2, 1)):
+        cases.append(
+            (equatorial_energy_series(locator), extract_omega2_squared(locator), m1, m2)
+        )
+    for energy, omega2, m1, m2 in cases:
+        got = _solve_resonance(energy, omega2, m1, m2, e_crit)
+        want = BifurcationResult(
+            *scalar_grid_resonance(energy, omega2, m1, m2, e_crit)
+        )
+        assert got == want
 
 
 def test_chaos_threshold_convergence_rows(nf8):

@@ -24,13 +24,13 @@ from magbottle.errors import (
     SeedOutsideCZVError,
 )
 from magbottle.model import (
-    PotentialSpec,
     build_builtin_model,
     critical_energy,
     parse_potential,
 )
 
-from oracles import dense_section_reference
+from conftest import jittered_builtin
+from oracles import dense_section_reference, half_period_monodromy
 
 # generic bound seed used for the drift and reversibility checks
 SEED = OrbitState(0.9, 0.3, 0.2, 0.1)
@@ -237,19 +237,9 @@ def test_turning_point_inverts_the_profile():
         equatorial_turning_point(critical_energy(V) + 0.01)
 
 
-def _jittered_builtin(rng):
-    V = build_builtin_model()
-    return PotentialSpec(
-        {
-            key: c if key == (2, 0) else c * (1.0 + rng.uniform(-0.05, 0.05))
-            for key, c in V.as_dict().items()
-        }
-    )
-
-
 def test_turning_point_is_a_root_to_rounding():
     rng = random.Random(11)
-    potentials = [build_builtin_model()] + [_jittered_builtin(rng) for _ in range(3)]
+    potentials = [build_builtin_model()] + [jittered_builtin(rng) for _ in range(3)]
     for V in potentials:
         assert critical_energy(V) > 0.5
         for E in (1e-3, 0.05, 0.2, 0.5):
@@ -301,6 +291,25 @@ def test_period_matches_turning_point_quadrature():
     assert result.period == pytest.approx(2.0 * T, abs=1e-6)
 
 
+@pytest.mark.parametrize("jittered", [False, True])
+def test_quarter_period_equals_the_half_period_oracle(jittered):
+    V = jittered_builtin(random.Random(11)) if jittered else build_builtin_model()
+    tol = dynamics.DEFAULT_TOL
+    for E in (1e-3, 0.0973, 0.188, 0.3688, 0.5):
+        got = central_orbit_monodromy(E, potential=V)
+        period, half, nfev = half_period_monodromy(
+            V,
+            equatorial_turning_point(E, V),
+            rtol=tol * dynamics._RTOL_FACTOR,
+            atol=tol * dynamics._ATOL_FACTOR,
+        )
+        assert np.abs(got.half_matrix - half).max() <= 1e-9
+        assert abs(np.trace(got.half_matrix) - np.trace(half)) <= 1e-9
+        assert abs(got.trace - np.trace(half @ half)) <= 1e-9
+        assert abs(got.period - period) <= 1e-9
+        assert got.n_rhs <= 0.6 * nfev
+
+
 def test_full_monodromy_is_half_matrix_squared():
     result = central_orbit_monodromy(0.15)
     assert np.allclose(result.matrix, result.half_matrix @ result.half_matrix)
@@ -332,6 +341,22 @@ def test_stability_transition_energy():
 def test_bifurcation_energies_are_ordered():
     energies = [numerical_bifurcation_energy(m, 1) for m in (4, 3, 2, 1)]
     assert energies == sorted(energies)
+
+
+def test_exact_hit_at_either_scan_end_is_returned(monkeypatch):
+    # prefilled traces stand in for the integrations, which must not run
+    def no_integration(*_args, **_kwargs):
+        raise AssertionError("the scan integrated")
+
+    monkeypatch.setattr(dynamics, "central_orbit_monodromy", no_integration)
+    lo, hi = 1e-3, 0.55
+    grid = [float(E) for E in np.linspace(lo, hi, 34)]
+    target = 2.0 * math.cos(math.pi)  # the 1:1 case, exactly -2
+    falling = {E: 1.9 - 0.1 * k for k, E in enumerate(grid)}
+    falling[grid[-1]] = target
+    assert numerical_bifurcation_energy(1, 1, traces=falling) == hi
+    rising = {E: target - 0.1 * k for k, E in enumerate(grid)}
+    assert numerical_bifurcation_energy(1, 1, traces=rising) == lo
 
 
 def test_unreachable_rotation_number_raises():

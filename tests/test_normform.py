@@ -16,7 +16,6 @@ from magbottle.errors import (
 )
 from magbottle.analysis import bifurcation_energy
 from magbottle.model import (
-    PotentialSpec,
     build_builtin_model,
     complexify_nonresonant,
     parse_potential,
@@ -39,6 +38,7 @@ from magbottle.polyalg import (
     poisson_bracket,
 )
 
+from conftest import jittered_builtin
 from oracles import rational_action_series, rational_normal_form
 
 
@@ -464,18 +464,6 @@ def test_normalize_refuses_a_non_real_hamiltonian(mode):
 # -------------------------------------------------------------- phase lattice
 
 
-def jittered_spec(seed):
-    """The builtin model with each non-quadratic coefficient scaled by a
-    factor in [0.95, 1.05]."""
-    rng = random.Random(seed)
-    return PotentialSpec(
-        {
-            key: c if key == (2, 0) else c * (1.0 + rng.uniform(-0.05, 0.05))
-            for key, c in build_builtin_model().as_dict().items()
-        }
-    )
-
-
 def lattice_theta(poly):
     """theta of a polynomial on the phase lattice, None off it."""
     lattice = _lattice(poly)
@@ -487,7 +475,10 @@ def lattice_theta(poly):
 def test_normalization_stays_on_the_phase_lattice(potential, mode):
     # the prepared H and every Lie image of it have theta 0, every
     # generator theta 1, so each large product is summed in float64
-    spec = build_builtin_model() if potential == "builtin" else jittered_spec(potential)
+    if potential == "builtin":
+        spec = build_builtin_model()
+    else:
+        spec = jittered_builtin(random.Random(potential))
     prep = complexify_nonresonant(spec)
     if mode == "resonant":
         bif = bifurcation_energy(normalize(prep, r_max=8, r_trunc=9), 2, 1)
