@@ -18,15 +18,36 @@ quarter period already fixes that matrix:
    from T/4 to T/2 is S M_q^-1 S with S = diag(1, -1), and for
    M_q = [[a, b], [c, d]], M_half = [[ad+bc, 2bd], [2ac, ad+bc]].
 3. det M_half = (ad-bc)^2 = det(M_q)^2, and Tr M_half = 2(ad+bc).
+
+Sections and the monodromy run one DOP853 loop on Python floats,
+:func:`_dop853`, which steps as ``scipy.integrate.DOP853`` does (the same
+tableau, initial step, error norm and controller) and hands each accepted
+step to a stop test.  A step that crosses a surface y_k = const (the
+section rho = 0, the quarter turn, an escape bound) goes to :func:`_hit`,
+Henon's trick (M. Henon, Physica D 5 (1982) 412): with y_k as the
+independent variable, d/dy_k = f/f_k, the integration ends on the surface
+exactly, so no dense output, root finder or Newton polish is needed.
+Neither scipy driver serves here.  On the E = 0.1 orbit from the section
+point (0.3, 0), a 2-core x86 host took 129 us per ``solve_ivp`` step
+without events, 107 us with the state handed to the right-hand side as a
+list of floats, and 76 us per step of this loop; a right-hand-side call
+costs 4.1 us on numpy scalars and 1.5 us on floats.
+``scipy.integrate.ode("dop853")`` runs a compiled loop, but with scipy
+1.17.1 it leaks 64 B per ``set_initial_value`` and about 1.1 KB per
+instance (tracemalloc), and a section or monodromy call would need one
+of either.
+:func:`integrate`, which promises dense output and sample times, stays
+on ``solve_ivp``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
@@ -131,7 +152,7 @@ class MonodromyResult:
     period: float
     matrix: np.ndarray
     half_matrix: np.ndarray = field(repr=False, default=None)
-    #: right-hand-side evaluations of the integration (``sol.nfev``)
+    #: right-hand-side evaluations of the integration, the surface hit included
     n_rhs: int = 0
 
     @property
@@ -180,6 +201,159 @@ def _escape_events(bound):
     rho_escape.terminal = True
     z_escape.terminal = True
     return [rho_escape, z_escape]
+
+
+# the DOP853 tableau as Python floats; row s of A keeps the s stages it
+# combines, and the error weights drop their last entry, the weight (0) of
+# the derivative at the new state
+_STAGES = tuple(
+    (tuple(map(float, row[:s])), float(c))
+    for s, (row, c) in enumerate(zip(DOP853.A, DOP853.C))
+)[1:]
+_B = tuple(map(float, DOP853.B))
+_E3 = tuple(map(float, DOP853.E3[:-1]))
+_E5 = tuple(map(float, DOP853.E5[:-1]))
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def _rms(values, scale):
+    return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)) / len(scale))
+
+
+def _dop853(fun, t, y, t_end, tol, stop, f=None, h_abs=None):
+    """Integrate ``y`` (a list of floats) from ``t`` towards ``t_end``.
+
+    DOP853 as ``scipy.integrate.DOP853`` steps it: the same tableau,
+    initial step, error norm and step-size controller, so it tries and
+    accepts the same steps, up to rounding in the error estimate.  ``f``,
+    when given, is ``fun(t, y)``, and ``h_abs`` the first trial step in
+    place of the initial-step rule.
+    After every accepted step it calls ``stop(t0, y0, f0, t1, y1)``, with
+    f0 the derivative at y0, and returns ``(value, nfev)`` at the first
+    value that is not None; reaching ``t_end`` returns ``(None, nfev)``.
+    ``nfev`` counts the calls of ``fun``: 11 per trial step, and the
+    derivative at each accepted state the loop steps on from (scipy also
+    forms it after rejected steps and at the end, where nothing reads it).
+
+    Raises
+    ------
+    RuntimeError
+        On a step-size underflow or a non-finite error norm.
+    """
+    rtol = tol * _RTOL_FACTOR
+    atol = tol * _ATOL_FACTOR
+    direction = 1.0 if t_end >= t else -1.0
+    nfev = 0
+    if f is None:
+        f = fun(t, y)
+        nfev += 1
+    if h_abs is None:
+        # Hairer, Norsett & Wanner, Sec. II.4, as scipy takes it
+        interval = abs(t_end - t)
+        scale = [atol + abs(v) * rtol for v in y]
+        d0, d1 = _rms(y, scale), _rms(f, scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = fun(t + h0 * direction, [v + h0 * direction * w for v, w in zip(y, f)])
+        nfev += 1
+        d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
+        h_abs = min(100.0 * h0, h1, interval)
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"step size underflow at t={t!r}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            # cols[i] holds component i of every stage derivative so far
+            cols = [[v] for v in f]
+            for a, c in _STAGES:
+                stage = [v + sum(map(mul, a, col)) * h for v, col in zip(y, cols)]
+                list(map(list.append, cols, fun(t + c * h, stage)))
+            nfev += 11
+            y_new = [v + h * sum(map(mul, _B, col)) for v, col in zip(y, cols)]
+            e5 = e3 = 0.0
+            for v, w, col in zip(y, y_new, cols):
+                s = atol + max(abs(v), abs(w)) * rtol
+                e5 += (sum(map(mul, _E5, col)) / s) ** 2
+                e3 += (sum(map(mul, _E3, col)) / s) ** 2
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+            if error < 1.0:
+                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error**_ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            if not math.isfinite(error):
+                raise RuntimeError(f"non-finite error norm at t={t!r}")
+            h_abs *= max(0.2, 0.9 * error**_ERROR_EXPONENT)
+            rejected = True
+        value = stop(t, y, f, t_new, y_new)
+        if value is not None:
+            return value, nfev
+        if t_new == t_end:
+            return None, nfev
+        t, y = t_new, y_new
+        f = fun(t, y)
+        nfev += 1
+
+
+def _hit(fun, k, t, y, f, target, tol):
+    """``(t, state, nfev)`` where the orbit from ``(t, y)``, with
+    ``f = fun(t, y)``, reaches ``y[k] == target``.
+
+    Henon's trick: with y[k] as the independent variable the equations
+    read d/dy_k = f / f_k, and the time rides along as component k.  One
+    :func:`_dop853` run from y[k] to ``target`` ends on the surface exactly;
+    it tries the whole way as its first step, which the error control
+    accepts unless the way is longer than a time step would be.
+
+    Raises
+    ------
+    RuntimeError
+        If f_k vanishes or points away from ``target`` on the way: the
+        orbit turns before it reaches the surface.
+    """
+    sense = 1.0 if target > y[k] else -1.0
+
+    def clock(f):
+        if not f[k] * sense > 0.0:
+            raise RuntimeError(f"orbit turns before y[{k}] reaches {target!r}")
+        rate = 1.0 / f[k]
+        out = [v * rate for v in f]
+        out[k] = rate
+        return out
+
+    def clocked(s, x):
+        state = list(x)
+        state[k] = s
+        return clock(fun(t + x[k], state))
+
+    x = list(y)
+    x[k] = 0.0  # time elapsed since t
+    x, nfev = _dop853(
+        clocked,
+        y[k],
+        x,
+        target,
+        tol,
+        lambda _s0, _x0, _f0, s1, x1: x1 if s1 == target else None,
+        f=clock(f),
+        h_abs=abs(target - y[k]),
+    )
+    t_hit = t + x[k]
+    x[k] = target
+    return t_hit, x, nfev
 
 
 def integrate(
@@ -249,27 +423,25 @@ def poincare_section(
     tol: float = DEFAULT_TOL,
     potential: PotentialSpec | None = None,
     escape_bound: float = ESCAPE_BOUND,
-    crossing_tol: float = 1e-12,
 ) -> SectionSet:
     """Record ``n_crossings`` section crossings for each (z, p_z) seed.
 
-    Each crossing is a rho = 0 passage with p_rho > 0, located by the
-    integrator's event root finder on the interpolant of the step that
-    contains it.  The seed itself lies on the section, so it is recorded
-    as the first crossing (t = 0) of its seed and counts toward
-    ``n_crossings``; the first return of the map is the second row.
-    Integration of a seed stops at its ``n_crossings``-th crossing.
-
-    A crossing with |rho| > ``crossing_tol`` gets one Newton polish along
-    the flow: with dt = -rho/p_rho, the time moves by dt and the state by
-    dt times the vector field at the event state.
+    Each crossing is a rho = 0 passage with p_rho > 0.  The integration
+    steps in time until rho turns non-negative in a step, and
+    :func:`_hit` then carries the state of the step's start onto rho = 0
+    with rho as the clock, so every crossing has rho exactly 0.  The seed
+    itself lies on the section, so it is recorded as the first crossing
+    (t = 0) of its seed and counts toward ``n_crossings``; the first
+    return of the map is the second row.  Integration of a seed stops at
+    its ``n_crossings``-th crossing.
 
     Raises
     ------
     SeedOutsideCZVError
         For seeds outside the accessible section domain.
     EscapeDetected
-        Propagated from the underlying integration.
+        When |rho| or |z| reaches ``escape_bound``; the reported state
+        lies on that bound.
     IncompleteSectionError
         If a seed's time budget, ``SECTION_TIME_PER_CROSSING`` per crossing,
         runs out before ``n_crossings`` crossings (slow orbits near the
@@ -278,46 +450,33 @@ def poincare_section(
     """
     V = resolve_potential(potential)
     rhs = _rhs_factory(V)
-
-    def crossing(_t, y):
-        return y[0]
-
-    # a positive count stops the integration at that occurrence; 0 never does
-    crossing.terminal = n_crossings
-    crossing.direction = 1.0
-    events = _escape_events(escape_bound) + [crossing]
     t_max = SECTION_TIME_PER_CROSSING * (n_crossings + 2)
     seeds = list(seeds)
     rows = []
     for index, (z0, pz0) in enumerate(seeds):
         state = section_seed_state(z0, pz0, E, V)
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_max),
-            state.as_array(),
-            method="DOP853",
-            rtol=tol * _RTOL_FACTOR,
-            atol=tol * _ATOL_FACTOR,
-            events=events,
-        )
-        # status 1 also means the n-th crossing, so ask the escape events;
-        # each ends the integration, so at most one of them is recorded
-        for t_esc, y_esc in zip(sol.t_events[:2], sol.y_events[:2]):
-            if t_esc.size:
-                raise EscapeDetected(
-                    float(t_esc[0]), tuple(float(v) for v in y_esc[0])
-                )
-        if sol.t_events[2].size < n_crossings:
-            raise IncompleteSectionError(
-                index, sol.t_events[2].size, n_crossings, t_max
-            )
-        for t_ev, y in zip(sol.t_events[2][:n_crossings], sol.y_events[2]):
-            # one Newton polish of the crossing time along the flow
-            if abs(y[0]) > crossing_tol and y[2] != 0.0:
-                dt = -y[0] / y[2]
-                y = y + dt * np.asarray(rhs(t_ev, y))
-                t_ev = t_ev + dt
-            rows.append((index, y[1], y[3], t_ev))
+        y = [float(v) for v in (state.rho, state.z, state.p_rho, state.p_z)]
+        found = [(index, y[1], y[3], 0.0)]
+
+        def stop(t0, y0, f0, _t1, y1):
+            escapes = [
+                _hit(rhs, k, t0, y0, f0, math.copysign(escape_bound, y1[k]), tol)
+                for k in (0, 1)
+                if abs(y1[k]) >= escape_bound
+            ]
+            if escapes:
+                t_esc, y_esc, _ = min(escapes)
+                raise EscapeDetected(t_esc, tuple(y_esc))
+            if y0[0] < 0.0 <= y1[0]:
+                t_hit, y_hit, _ = _hit(rhs, 0, t0, y0, f0, 0.0, tol)
+                found.append((index, y_hit[1], y_hit[3], t_hit))
+                if len(found) == n_crossings:
+                    return True
+            return None
+
+        if len(found) < n_crossings and _dop853(rhs, 0.0, y, t_max, tol, stop)[0] is None:
+            raise IncompleteSectionError(index, len(found), n_crossings, t_max)
+        rows += found[:n_crossings]
     points = np.array(rows, dtype=float) if rows else np.empty((0, 4))
     return SectionSet(energy=E, points=points, n_seeds=len(seeds))
 
@@ -344,7 +503,8 @@ def central_orbit_monodromy(
 
     Integrates the in-plane orbit from its turning point (rho_max, 0)
     together with two variational columns until rho falls through zero, a
-    quarter period, and rebuilds the half-period matrix from the quarter
+    quarter period, carries the crossing step onto rho = 0 with
+    :func:`_hit`, and rebuilds the half-period matrix from the quarter
     matrix M_q = [[a, b], [c, d]]:
 
     1. time reversal with rho -> -rho maps the orbit onto itself about its
@@ -372,24 +532,15 @@ def central_orbit_monodromy(
             curv += c * rho**a
         return (prho, -force, dp1, -curv * dz1, dp2, -curv * dz2)
 
-    def quarter_turn(_t, y):
-        return y[0]
+    def quarter_turn(t0, y0, f0, _t1, y1):
+        # rho falls from rho_max through the axis
+        return _hit(rhs, 0, t0, y0, f0, 0.0, tol) if y1[0] <= 0.0 else None
 
-    quarter_turn.terminal = True
-    quarter_turn.direction = -1.0  # rho falls from rho_max through the axis
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1e4),
-        np.array([rho_max, 0.0, 1.0, 0.0, 0.0, 1.0]),
-        method="DOP853",
-        rtol=tol * _RTOL_FACTOR,
-        atol=tol * _ATOL_FACTOR,
-        events=[quarter_turn],
-    )
-    if not sol.t_events[0].size:
+    y = [rho_max, 0.0, 1.0, 0.0, 0.0, 1.0]
+    quarter, nfev = _dop853(rhs, 0.0, y, 1e4, tol, quarter_turn)
+    if quarter is None:
         raise RuntimeError(f"no quarter period found at E={E}")
-    t_quarter = float(sol.t_events[0][0])
-    _, _, a, c, b, d = sol.y_events[0][0]
+    t_quarter, (_, _, a, c, b, d), n_hit = quarter
     diagonal = a * d + b * c
     half = np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
     return MonodromyResult(
@@ -397,7 +548,7 @@ def central_orbit_monodromy(
         period=4.0 * t_quarter,
         matrix=half @ half,
         half_matrix=half,
-        n_rhs=int(sol.nfev),
+        n_rhs=nfev + n_hit,
     )
 
 
@@ -429,6 +580,7 @@ def numerical_bifurcation_energy(
         If the target trace is not reached inside ``bracket``.
     """
     target = 2.0 * math.cos(math.pi * m2 / m1)
+    potential = resolve_potential(potential)  # one spec: one barrier solve
     if traces is None:
         traces = {}
 

@@ -58,7 +58,7 @@ class PotentialSpec:
         ``"builtin"`` or ``"parsed"``.
     """
 
-    __slots__ = ("_terms", "source")
+    __slots__ = ("_terms", "source", "_critical_energy")
 
     def __init__(self, terms, source="parsed"):
         cleaned = {}
@@ -75,6 +75,7 @@ class PotentialSpec:
                 cleaned[(a, b)] = c
         self._terms = dict(sorted(cleaned.items()))
         self.source = source
+        self._critical_energy = None  # filled by critical_energy()
 
     def as_dict(self):
         """Return ``{(a, b): c}`` for the non-zero monomials."""
@@ -386,17 +387,19 @@ def critical_energy(spec: PotentialSpec) -> float:
 
     Returns ``inf`` when the profile has no local maximum at rho > 0 (a
     globally confining potential).  For the builtin model this is 16/27 at
-    rho = sqrt(8/3).
+    rho = sqrt(8/3).  A spec does not change, so each one computes it once.
     """
-    curvature = spec.derivative(2, 0)
-    return min(
-        (
-            spec.value(rho, 0.0)
-            for rho in equatorial_roots(spec.derivative(1, 0))
-            if curvature.value(rho, 0.0) < 0.0
-        ),
-        default=math.inf,
-    )
+    if spec._critical_energy is None:
+        curvature = spec.derivative(2, 0)
+        spec._critical_energy = min(
+            (
+                spec.value(rho, 0.0)
+                for rho in equatorial_roots(spec.derivative(1, 0))
+                if curvature.value(rho, 0.0) < 0.0
+            ),
+            default=math.inf,
+        )
+    return spec._critical_energy
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ import random
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import DOP853, quad
 
-from magbottle import dynamics
+from magbottle import dynamics, model
 from magbottle.dynamics import (
     OrbitState,
     central_orbit_monodromy,
@@ -164,36 +164,43 @@ def test_rhs_is_the_force_of_the_potential_bitwise():
 
 @pytest.mark.parametrize(
     "E, seed",
-    [(0.1, (0.25, 0.0)), (0.1, (0.1, 0.05)), (0.2, (0.3, 0.0)), (0.2, (0.0, 0.2))],
+    [
+        (0.1, (0.25, 0.0)),
+        (0.1, (0.1, 0.05)),
+        (0.2, (0.3, 0.0)),
+        (0.2, (0.0, 0.2)),
+        # near the edge of the section: p_rho is small at the crossings
+        (0.2, (0.0, 0.99 * math.sqrt(0.4))),
+        (0.1, (0.0, 0.999 * math.sqrt(0.2))),
+    ],
 )
 def test_crossings_equal_a_full_budget_dense_output_reference(E, seed):
-    # stopping at the last crossing and reading the events' own states must
-    # give the crossings a global interpolant over the whole budget gives
+    # the surface hits give the crossings a global interpolant gives, to
+    # rounding, and are no further from a tight reference than scipy is
     n = 30
     V = build_builtin_model()
     tol = dynamics.DEFAULT_TOL
-    want = dense_section_reference(
-        dynamics._rhs_factory(V),
-        section_seed_state(*seed, E).as_array(),
-        n,
-        dynamics.SECTION_TIME_PER_CROSSING * (n + 2),
-        rtol=tol * dynamics._RTOL_FACTOR,
-        atol=tol * dynamics._ATOL_FACTOR,
-    )
-    got = poincare_section([seed], E, n).points
-    assert [tuple(row) for row in got[:, 1:]] == want
+    got = poincare_section([seed], E, n).points[:, 1:]
+    # the reference steps as the section does up to its end, one unit past
+    # the last crossing, so its crossings are those of the full budget
+    y0 = section_seed_state(*seed, E).as_array()
+    t_end = float(got[-1, 2]) + 1.0
+
+    def reference(rtol, atol):
+        rhs = dynamics._rhs_factory(V)
+        return np.array(dense_section_reference(rhs, y0, n, t_end, rtol, atol))
+
+    same_tol = reference(tol * dynamics._RTOL_FACTOR, tol * dynamics._ATOL_FACTOR)
+    assert np.abs(got - same_tol).max() <= 1e-12
+    tight = reference(2.3e-14, 1e-17)
+    assert np.abs(got - tight).max() <= 2.0 * np.abs(same_tol - tight).max()
 
 
-def test_forced_polish_stays_on_the_section():
-    # crossing_tol = 0 polishes every crossing off the seed; each polished
-    # point still lies on rho = 0 and hardly moves
+def test_every_crossing_is_on_the_section_to_1e_12():
     seed, E = (0.25, 0.0), 0.1
-    default = poincare_section([seed], E, 20).points
-    polished = poincare_section([seed], E, 20, crossing_tol=0.0).points
-    assert not np.array_equal(polished, default)
-    assert np.abs(polished - default).max() < 1e-10
-    traj = integrate(section_seed_state(*seed, E), float(polished[-1, 3]) + 1.0)
-    residuals = [abs(float(traj.dense(t)[0])) for t in polished[:, 3]]
+    points = poincare_section([seed], E, 20).points
+    traj = integrate(section_seed_state(*seed, E), float(points[-1, 3]) + 1.0)
+    residuals = [abs(float(traj.dense(t)[0])) for t in points[:, 3]]
     assert max(residuals) <= 1e-12
 
 
@@ -204,8 +211,16 @@ def test_section_seed_above_the_escape_energy_escapes():
     with pytest.raises(EscapeDetected) as info:
         poincare_section([seed], E, 100, escape_bound=5.0)
     err = info.value
-    assert abs(err.state[0]) == pytest.approx(5.0, abs=1e-9)
+    assert abs(err.state[0]) == 5.0
     assert OrbitState(*err.state).energy() == pytest.approx(E, abs=1e-9)
+    # at E = 0.62 the escape ends a chaotic transient of about 187 time
+    # units whose length moves with the tolerance; at E = 1 the orbit leaves
+    # at t = 17.4, where the section's escape matches integrate()'s
+    E = 1.0
+    with pytest.raises(EscapeDetected) as info:
+        poincare_section([seed], E, 100, escape_bound=5.0)
+    err = info.value
+    assert abs(err.state[0]) == 5.0
     with pytest.raises(EscapeDetected) as ref:
         integrate(section_seed_state(*seed, E), 1000.0, escape_bound=5.0)
     assert err.t == pytest.approx(ref.value.t, abs=1e-9)
@@ -222,6 +237,77 @@ def test_short_time_budget_raises_instead_of_truncating(monkeypatch):
     assert err.requested == 10 and err.found < 10
     assert err.t_max == 12.0
     assert "seed 0" in str(err) and "t_max=12" in str(err)
+
+
+# ------------------------------------------------------- integration loop
+
+
+def test_loop_steps_as_scipy_dop853():
+    # the benchmark's anchor orbit: E = 0.1 from the section point (0.3, 0)
+    rhs = dynamics._rhs_factory(build_builtin_model())
+    y0 = section_seed_state(0.3, 0.0, 0.1).as_array()
+    tol, T = dynamics.DEFAULT_TOL, 160.0
+    solver = DOP853(
+        rhs, 0.0, y0, T,
+        rtol=tol * dynamics._RTOL_FACTOR, atol=tol * dynamics._ATOL_FACTOR,
+    )
+    want = [0.0]
+    while solver.status == "running":
+        solver.step()
+        want.append(solver.t)
+    got = [0.0]
+
+    def stop(_t0, _y0, _f0, t1, y1):
+        got.append(t1)
+        return y1 if t1 == T else None
+
+    end, nfev = dynamics._dop853(rhs, 0.0, [float(v) for v in y0], T, tol, stop)
+    assert len(got) == len(want)
+    assert np.abs(np.array(end) - solver.y).max() <= 1e-13
+    # scipy forms 2 derivatives for the initial step and 12 per trial step;
+    # the loop forms the derivative at a new state only when it steps on
+    trials = (solver.nfev - 2) // 12
+    assert nfev == 2 + 11 * trials + len(got) - 2
+    # the first step's error estimate is rounding noise (its truncation
+    # error is far below the tolerance), so summing the stages in another
+    # order moves the second step by a few percent; the controller forgets
+    # it, and the later steps differ only as the shifted times do
+    ratios = np.diff(got)[2:-1] / np.diff(want)[2:-1]
+    assert np.abs(ratios - 1.0).max() <= 0.05
+
+
+def test_surface_hit_lands_on_its_target():
+    rhs = dynamics._rhs_factory(build_builtin_model())
+    tol = dynamics.DEFAULT_TOL
+    start = OrbitState(-0.05, 0.2, 0.3, -0.1, t=2.0)
+    y = [start.rho, start.z, start.p_rho, start.p_z]
+    for k, target in ((0, 0.0), (1, 0.19)):
+        t, state, nfev = dynamics._hit(rhs, k, start.t, y, rhs(start.t, y), target, tol)
+        assert state[k] == target
+        assert t > start.t and nfev > 0
+        traj = integrate(start, t - start.t + 1.0)
+        assert np.abs(traj.dense(t) - state).max() <= 1e-12
+    # p_rho < 0 carries rho away from the axis: the orbit turns first
+    y = [-0.05, 0.2, -0.3, 0.1]
+    with pytest.raises(RuntimeError, match="turns"):
+        dynamics._hit(rhs, 0, 0.0, y, rhs(0.0, y), 0.0, tol)
+
+
+def test_loop_raises_on_a_non_finite_error_norm():
+    def turns_nan(t, _y):
+        return (math.nan if t > 0.5 else 1.0,)
+
+    with pytest.raises(RuntimeError, match="non-finite"):
+        dynamics._dop853(turns_nan, 0.0, [0.0], 2.0, 1e-12, lambda *_: None)
+
+
+def test_loop_raises_on_a_step_size_underflow():
+    # finite everywhere, but no step is short enough to resolve it
+    def noise(t, _y):
+        return (1e6 * math.sin(1e30 * t),)
+
+    with pytest.raises(RuntimeError, match="underflow"):
+        dynamics._dop853(noise, 1.0, [0.0], 2.0, 1e-12, lambda *_: None)
 
 
 # ---------------------------------------------------------------- monodromy
@@ -341,6 +427,31 @@ def test_stability_transition_energy():
 def test_bifurcation_energies_are_ordered():
     energies = [numerical_bifurcation_energy(m, 1) for m in (4, 3, 2, 1)]
     assert energies == sorted(energies)
+
+def test_scan_solves_the_barrier_once_per_potential(monkeypatch):
+    # every integration finds its turning point; the barrier energy that
+    # bounds it is solved once per potential
+    roots_calls, energies = [], []
+    roots, monodromy = model.equatorial_roots, dynamics.central_orbit_monodromy
+
+    def roots_spy(spec):
+        roots_calls.append(spec)
+        return roots(spec)
+
+    def monodromy_spy(E, *args, **kwargs):
+        energies.append(E)
+        return monodromy(E, *args, **kwargs)
+
+    monkeypatch.setattr(model, "equatorial_roots", roots_spy)
+    monkeypatch.setattr(dynamics, "equatorial_roots", roots_spy)
+    monkeypatch.setattr(dynamics, "central_orbit_monodromy", monodromy_spy)
+    jittered = jittered_builtin(random.Random(11))
+    for potential, barrier_solves in ((None, 1), (jittered, 1), (jittered, 0)):
+        roots_calls.clear()
+        energies.clear()
+        numerical_bifurcation_energy(3, 1, potential=potential)
+        assert len(roots_calls) == len(energies) + barrier_solves
+
 
 
 def test_exact_hit_at_either_scan_end_is_returned(monkeypatch):
