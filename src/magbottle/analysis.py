@@ -47,7 +47,6 @@ __all__ = [
     "BifurcationResult",
     "RemainderProfile",
     "capture_remainder_profile",
-    "remainder_norm",
     "optimal_order_scan",
     "bifurcation_energy",
     "chaos_threshold_convergence",
@@ -178,35 +177,6 @@ def capture_remainder_profile(
 
     state = normalize(prepared, r_max=N - 1, r_trunc=N, step_callback=snap)
     return RemainderProfile(prepared.mode, *_norm_scales(state), N, slices)
-
-
-def remainder_norm(state, r, N, E, delta_E, beta=0.0) -> float:
-    """Weighted norm of the order r+1..N remainder of a normalized state.
-
-    The state must be normalized exactly to r: earlier orders of the
-    transformation history are not recoverable from a deeper state (use
-    ``capture_remainder_profile`` for whole-scan work).
-
-    Raises
-    ------
-    ModeError
-        If the state was normalized under a transverse cap: the norm reads
-        every transverse degree of the remainder.
-    RangeError
-        On r != state.r, N out of (r, r_trunc], or delta_E outside [0, E).
-    """
-    state.require_full("remainder_norm")
-    if r != state.r:
-        raise RangeError(f"state is normalized to r={state.r}, not r={r}")
-    if not r < N <= state.r_trunc:
-        raise RangeError(f"need r < N <= {state.r_trunc}, got N={N}")
-    profile = RemainderProfile(
-        state.mode,
-        *_norm_scales(state),
-        N,
-        {r: _aggregate_slice(state.hamiltonian, r + 1, N)},
-    )
-    return profile.norm(r, N, E, delta_E, beta)
 
 
 @dataclass

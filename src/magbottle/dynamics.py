@@ -27,17 +27,17 @@ section rho = 0, the quarter turn, an escape bound) goes to :func:`_hit`,
 Henon's trick (M. Henon, Physica D 5 (1982) 412): with y_k as the
 independent variable, d/dy_k = f/f_k, the integration ends on the surface
 exactly, so no dense output, root finder or Newton polish is needed.
+:func:`integrate` runs the same loop and lands each sample time inside
+an accepted step with one side step from the step's start, so the
+samples leave the step sequence as it is.
 Neither scipy driver serves here.  On the E = 0.1 orbit from the section
-point (0.3, 0), a 2-core x86 host took 129 us per ``solve_ivp`` step
-without events, 107 us with the state handed to the right-hand side as a
-list of floats, and 76 us per step of this loop; a right-hand-side call
-costs 4.1 us on numpy scalars and 1.5 us on floats.
+point (0.3, 0), a 2-core x86 host took 129 us per step of scipy's
+initial-value driver without events, 107 us with the state handed to the
+right-hand side as a list of floats, and 76 us per step of this loop; a
+right-hand-side call costs 4.1 us on numpy scalars and 1.5 us on floats.
 ``scipy.integrate.ode("dop853")`` runs a compiled loop, but with scipy
 1.17.1 it leaks 64 B per ``set_initial_value`` and about 1.1 KB per
-instance (tracemalloc), and a section or monodromy call would need one
-of either.
-:func:`integrate`, which promises dense output and sample times, stays
-on ``solve_ivp``.
+instance (tracemalloc), and every orbit would need one of either.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import (
@@ -106,16 +106,13 @@ class OrbitState:
 
 @dataclass
 class Trajectory:
-    """Sampled orbit with dense output.
+    """Sampled orbit.
 
     ``states`` has one row per sample, columns (rho, z, p_rho, p_z).
-    ``dense(t)`` evaluates the interpolant at arbitrary times within
-    [times[0], times[-1]].
     """
 
     times: np.ndarray
     states: np.ndarray
-    dense: object
     potential: PotentialSpec
 
     def energies(self):
@@ -189,18 +186,6 @@ def _rhs_factory(potential: PotentialSpec):
         return (prho, pz, -frho, -fz)
 
     return rhs
-
-
-def _escape_events(bound):
-    def rho_escape(_t, y):
-        return abs(y[0]) - bound
-
-    def z_escape(_t, y):
-        return abs(y[1]) - bound
-
-    rho_escape.terminal = True
-    z_escape.terminal = True
-    return [rho_escape, z_escape]
 
 
 # the DOP853 tableau as Python floats; row s of A keeps the s stages it
@@ -308,9 +293,20 @@ def _dop853(fun, t, y, t_end, tol, stop, f=None, h_abs=None):
         nfev += 1
 
 
-def _hit(fun, k, t, y, f, target, tol):
+def _reach(fun, t, y, f, t_end, tol):
+    """``(state, nfev)`` at ``t_end``: :func:`_dop853` from ``(t, y)``, with
+    ``f = fun(t, y)``, trying the whole way as its first step."""
+    return _dop853(
+        fun, t, y, t_end, tol,
+        lambda _t0, _y0, _f0, t1, y1: y1 if t1 == t_end else None,
+        f=f, h_abs=abs(t_end - t),
+    )
+
+
+def _hit(fun, k, t, y, f, target, tol, direction=1.0):
     """``(t, state, nfev)`` where the orbit from ``(t, y)``, with
-    ``f = fun(t, y)``, reaches ``y[k] == target``.
+    ``f = fun(t, y)``, reaches ``y[k] == target``; ``direction`` is -1.0
+    when time runs backward.
 
     Henon's trick: with y[k] as the independent variable the equations
     read d/dy_k = f / f_k, and the time rides along as component k.  One
@@ -321,10 +317,11 @@ def _hit(fun, k, t, y, f, target, tol):
     Raises
     ------
     RuntimeError
-        If f_k vanishes or points away from ``target`` on the way: the
-        orbit turns before it reaches the surface.
+        If f_k vanishes or loses the sign that carries y[k] toward
+        ``target`` in the sense of time: the orbit turns before it
+        reaches the surface.
     """
-    sense = 1.0 if target > y[k] else -1.0
+    sense = direction if target > y[k] else -direction
 
     def clock(f):
         if not f[k] * sense > 0.0:
@@ -341,19 +338,26 @@ def _hit(fun, k, t, y, f, target, tol):
 
     x = list(y)
     x[k] = 0.0  # time elapsed since t
-    x, nfev = _dop853(
-        clocked,
-        y[k],
-        x,
-        target,
-        tol,
-        lambda _s0, _x0, _f0, s1, x1: x1 if s1 == target else None,
-        f=clock(f),
-        h_abs=abs(target - y[k]),
-    )
+    x, nfev = _reach(clocked, y[k], x, clock(f), target, tol)
     t_hit = t + x[k]
     x[k] = target
     return t_hit, x, nfev
+
+
+def _escape(fun, t0, y0, f0, t1, y1, bound, tol):
+    """Raise :class:`EscapeDetected` if the accepted step from ``(t0, y0)``
+    to ``(t1, y1)`` takes |rho| or |z| to ``bound``; :func:`_hit` puts the
+    reported state on the bound, at the first crossing in the sense of time.
+    """
+    direction = 1.0 if t1 >= t0 else -1.0
+    escapes = [
+        _hit(fun, k, t0, y0, f0, math.copysign(bound, y1[k]), tol, direction)
+        for k in (0, 1)
+        if abs(y1[k]) >= bound
+    ]
+    if escapes:
+        t_esc, y_esc, _ = min(escapes, key=lambda hit: direction * hit[0])
+        raise EscapeDetected(t_esc, tuple(y_esc))
 
 
 def integrate(
@@ -366,35 +370,37 @@ def integrate(
 ) -> Trajectory:
     """Integrate the orbit for time ``T`` (negative T integrates backward).
 
-    Uses an adaptive 8th-order Runge-Kutta scheme (DOP853) with dense
-    output; ``tol`` maps to relative tolerance, with the absolute tolerance
-    two orders tighter.
+    Steps :func:`_dop853`, the adaptive 8th-order Runge-Kutta scheme, at
+    relative tolerance tol/10 and absolute tolerance tol/1000, and records
+    ``n_samples`` states at evenly spaced times from ``initial.t`` to
+    ``initial.t + T``.  A sample time inside an accepted step is reached
+    by one side step from that step's start, so the samples do not change
+    the steps.
 
     Raises
     ------
     EscapeDetected
-        When |rho| or |z| exceeds ``escape_bound``.
+        When |rho| or |z| reaches ``escape_bound``; the reported state
+        lies on that bound.
     """
     V = resolve_potential(potential)
-    sol = solve_ivp(
-        _rhs_factory(V),
-        (initial.t, initial.t + T),
-        initial.as_array(),
-        method="DOP853",
-        rtol=tol * _RTOL_FACTOR,
-        atol=tol * _ATOL_FACTOR,
-        dense_output=True,
-        events=_escape_events(escape_bound),
-        t_eval=np.linspace(initial.t, initial.t + T, n_samples),
-    )
-    if sol.status == 1:  # terminated by an escape event
-        times = np.concatenate([t for t in sol.t_events if t.size])
-        t_esc = float(times.min())
-        state = sol.sol(t_esc)
-        raise EscapeDetected(t_esc, tuple(float(v) for v in state))
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return Trajectory(times=sol.t, states=sol.y.T, dense=sol.sol, potential=V)
+    rhs = _rhs_factory(V)
+    t_end = initial.t + T
+    direction = 1.0 if T >= 0.0 else -1.0
+    times = np.linspace(initial.t, t_end, n_samples)
+    pending = times[:0:-1].tolist()  # the next sample time comes last
+    y = [float(v) for v in initial.as_array()]
+    states = [y]
+
+    def stop(t0, y0, f0, t1, y1):
+        _escape(rhs, t0, y0, f0, t1, y1, escape_bound, tol)
+        while pending and direction * (t1 - pending[-1]) >= 0.0:
+            s = pending.pop()
+            states.append(y1 if s == t1 else _reach(rhs, t0, y0, f0, s, tol)[0])
+        return None
+
+    _dop853(rhs, initial.t, y, t_end, tol, stop)
+    return Trajectory(times=times, states=np.array(states), potential=V)
 
 
 def section_seed_state(
@@ -458,15 +464,8 @@ def poincare_section(
         y = [float(v) for v in (state.rho, state.z, state.p_rho, state.p_z)]
         found = [(index, y[1], y[3], 0.0)]
 
-        def stop(t0, y0, f0, _t1, y1):
-            escapes = [
-                _hit(rhs, k, t0, y0, f0, math.copysign(escape_bound, y1[k]), tol)
-                for k in (0, 1)
-                if abs(y1[k]) >= escape_bound
-            ]
-            if escapes:
-                t_esc, y_esc, _ = min(escapes)
-                raise EscapeDetected(t_esc, tuple(y_esc))
+        def stop(t0, y0, f0, t1, y1):
+            _escape(rhs, t0, y0, f0, t1, y1, escape_bound, tol)
             if y0[0] < 0.0 <= y1[0]:
                 t_hit, y_hit, _ = _hit(rhs, 0, t0, y0, f0, 0.0, tol)
                 found.append((index, y_hit[1], y_hit[3], t_hit))

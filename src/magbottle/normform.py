@@ -299,8 +299,8 @@ def normalize(
     admissible models, where every term has even transverse degree, a higher
     transverse degree never feeds a lower one (see :mod:`polyalg`), so a
     cap of 2 serves every reader of the equatorial energy and omega2^2
-    series at a fraction of the cost.  Readers of the whole polynomial
-    (the back-transform, the remainder norm) refuse a capped state.
+    series at a fraction of the cost.  The back-transform reads the whole
+    polynomial and refuses a capped state.
 
     The Hamiltonian and every generator are real functions written in the
     complex variables of ``prepared.complex_pairs``, so each bracket forms

@@ -4,13 +4,14 @@ Everything here is deliberately written against the production package: plain
 dict-based polynomial arithmetic, sympy differentiation, exact rational
 (Fraction) arithmetic, and a hand-written flow of the builtin bottle integrated
 with plain scipy. Slow and simple on purpose. Two references check an
-optimization of the package against its plain form instead: a Poincare
-section read off a global dense output, a composition that forms every
-monomial on its own, a product that sums its raw terms by sorting them, a
-sum that sorts the terms of both operands, a bracket that forms both
-products of every pair, a section field that adds one grid pass per term,
-a field CSV formatted cell by cell, a monodromy integrated over a half
-period, and a resonance scan that evaluates its grid one action at a time.
+optimization of the package against its plain form instead: an orbit and
+a Poincare section read off a global dense output, a composition that
+forms every monomial on its own, a product that sums its raw terms by
+sorting them, a sum that sorts the terms of both operands, a bracket that
+forms both products of every pair, a section field that adds one grid pass
+per term, a field CSV formatted cell by cell, a monodromy integrated over a
+half period, and a resonance scan that evaluates its grid one action at a
+time.
 """
 
 from fractions import Fraction
@@ -356,6 +357,50 @@ def dense_section_reference(rhs, y0, n_crossings, t_max, rtol, atol):
     times = sol.t_events[0][:n_crossings]
     assert times.size == n_crossings, f"{times.size} crossings within t = {t_max}"
     return [(sol.sol(t)[1], sol.sol(t)[3], t) for t in times]
+
+
+# ---------------------------------------------------------------------------
+# reference orbit: scipy's driver with global dense output
+# ---------------------------------------------------------------------------
+
+
+def dense_orbit(initial, T, escape_bound=20.0):
+    """Global dense output of the builtin bottle's orbit from ``initial``
+    over time ``T``, the interpolant on [initial.t, initial.t + T].
+
+    Plain scipy DOP853 (``solve_ivp``) at the tolerances of
+    ``dynamics.integrate``'s default tol, with terminal events where |rho|
+    or |z| reaches ``escape_bound``.
+
+    Raises
+    ------
+    EscapeDetected
+        At the first event in the sense of time, with the state read off
+        the interpolant.
+    """
+    from magbottle import dynamics
+    from magbottle.errors import EscapeDetected
+    from magbottle.model import build_builtin_model
+
+    def rho_escape(_t, y):
+        return abs(y[0]) - escape_bound
+
+    def z_escape(_t, y):
+        return abs(y[1]) - escape_bound
+
+    rho_escape.terminal = z_escape.terminal = True
+    tol = dynamics.DEFAULT_TOL
+    sol = solve_ivp(
+        dynamics._rhs_factory(build_builtin_model()),
+        (initial.t, initial.t + T), initial.as_array(), method="DOP853",
+        rtol=tol * dynamics._RTOL_FACTOR, atol=tol * dynamics._ATOL_FACTOR,
+        dense_output=True, events=[rho_escape, z_escape],
+    )
+    assert sol.status >= 0, sol.message
+    if sol.status == 1:
+        t_esc = min(np.concatenate(sol.t_events), key=lambda t: abs(t - initial.t))
+        raise EscapeDetected(float(t_esc), tuple(float(v) for v in sol.sol(t_esc)))
+    return sol.sol
 
 
 # ---------------------------------------------------------------------------

@@ -10,28 +10,25 @@ import pytest
 from magbottle.analysis import (
     DEFAULT_DELTA_E_GRID,
     BifurcationResult,
+    RemainderProfile,
+    _aggregate_slice,
+    _norm_scales,
     _solve_resonance,
     _truncated,
     bifurcation_energy,
     chaos_threshold_convergence,
     optimal_order_scan,
-    remainder_norm,
 )
 from magbottle.errors import (
     DegenerateFitWarning,
     FlatMinimumWarning,
-    ModeError,
     MultipleRootsWarning,
     NoRootError,
     RangeError,
 )
 from magbottle.cli import _series_state
 from magbottle.model import build_builtin_model, critical_energy
-from magbottle.normform import (
-    equatorial_energy_series,
-    extract_omega2_squared,
-    normalize,
-)
+from magbottle.normform import equatorial_energy_series, extract_omega2_squared
 
 from conftest import jittered_builtin
 from oracles import scalar_grid_resonance
@@ -63,20 +60,11 @@ def test_norm_monotone_in_N(nonres_profile):
 
 
 def test_norm_matches_direct_state_evaluation(nonres_profile, nf5):
-    via_state = remainder_norm(nf5, 5, 6, 0.2, 1e-3)
+    # one slice, built from the state normalized exactly to r = 5
+    slices = {5: _aggregate_slice(nf5.hamiltonian, 6, 6)}
+    via_state = RemainderProfile(nf5.mode, *_norm_scales(nf5), 6, slices)
     via_profile = nonres_profile.norm(5, 6, 0.2, 1e-3)
-    assert via_state == pytest.approx(via_profile, rel=1e-12)
-
-
-def test_remainder_norm_rejects_delta_e_at_or_above_e(nf5):
-    with pytest.raises(RangeError, match="delta_E"):
-        remainder_norm(nf5, 5, 6, 0.2, 0.2)
-
-
-def test_norm_rejects_capped_state(prep):
-    capped = normalize(prep, r_max=5, r_trunc=6, transverse_cap=2)
-    with pytest.raises(ModeError, match="remainder_norm"):
-        remainder_norm(capped, 5, 6, 0.2, 1e-3)
+    assert via_state.norm(5, 6, 0.2, 1e-3) == pytest.approx(via_profile, rel=1e-12)
 
 
 def test_truncation_convergence_at_optimal_order(nonres_profile):

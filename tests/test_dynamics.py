@@ -30,7 +30,7 @@ from magbottle.model import (
 )
 
 from conftest import jittered_builtin
-from oracles import dense_section_reference, half_period_monodromy
+from oracles import dense_orbit, dense_section_reference, half_period_monodromy
 
 # generic bound seed used for the drift and reversibility checks
 SEED = OrbitState(0.9, 0.3, 0.2, 0.1)
@@ -79,6 +79,14 @@ def test_axis_orbit_escapes_through_the_neck():
     assert abs(info.value.state[1]) >= 20.0 - 1e-6
 
 
+def test_axis_orbit_escapes_backward():
+    # free flight z = 0.5 + t meets z = -20 at t = -20.5
+    with pytest.raises(EscapeDetected) as info:
+        integrate(OrbitState(0.0, 0.5, 0.0, 1.0), -200.0)
+    assert info.value.t == pytest.approx(-20.5, abs=1e-6)
+    assert abs(info.value.state[1]) == pytest.approx(20.0, abs=1e-12)
+
+
 def test_radial_escape_over_an_open_barrier():
     hilltop = parse_potential("0.5*rho^2 - 0.125*rho^4")
     with pytest.raises(EscapeDetected) as info:
@@ -86,10 +94,12 @@ def test_radial_escape_over_an_open_barrier():
     assert abs(info.value.state[0]) >= 20.0 - 1e-6
 
 
-def test_trajectory_dense_output_matches_samples():
-    traj = integrate(SEED, 5.0, n_samples=11)
-    mid = traj.dense(traj.times[5])
-    assert np.allclose(mid, traj.states[5], atol=1e-12)
+def test_samples_equal_a_dense_output_reference():
+    # several samples fall inside one step; each is landed on its own
+    for T in (5.0, -5.0):
+        traj = integrate(SEED, T, n_samples=201)
+        reference = dense_orbit(SEED, T)(traj.times).T
+        assert np.abs(traj.states - reference).max() <= 1e-12
 
 
 # ----------------------------------------------------------------- sections
@@ -127,14 +137,6 @@ def test_quasiperiodic_seed_traces_a_closed_curve():
     assert np.all(cross > 0.0) or np.all(cross < 0.0)
     radii = np.hypot(x, y)
     assert radii.max() / radii.min() < 1.2
-
-
-def test_crossings_lie_on_the_section():
-    section = poincare_section([(0.25, 0.0)], 0.1, 10)
-    state = section_seed_state(0.25, 0.0, 0.1)
-    traj = integrate(state, float(section.points[:, 3].max()) + 1.0)
-    residuals = [abs(float(traj.dense(t)[0])) for t in section.points[:, 3]]
-    assert max(residuals) < 1e-9
 
 
 def test_section_points_conserve_energy():
@@ -199,8 +201,8 @@ def test_crossings_equal_a_full_budget_dense_output_reference(E, seed):
 def test_every_crossing_is_on_the_section_to_1e_12():
     seed, E = (0.25, 0.0), 0.1
     points = poincare_section([seed], E, 20).points
-    traj = integrate(section_seed_state(*seed, E), float(points[-1, 3]) + 1.0)
-    residuals = [abs(float(traj.dense(t)[0])) for t in points[:, 3]]
+    dense = dense_orbit(section_seed_state(*seed, E), float(points[-1, 3]) + 1.0)
+    residuals = [abs(float(dense(t)[0])) for t in points[:, 3]]
     assert max(residuals) <= 1e-12
 
 
@@ -215,14 +217,14 @@ def test_section_seed_above_the_escape_energy_escapes():
     assert OrbitState(*err.state).energy() == pytest.approx(E, abs=1e-9)
     # at E = 0.62 the escape ends a chaotic transient of about 187 time
     # units whose length moves with the tolerance; at E = 1 the orbit leaves
-    # at t = 17.4, where the section's escape matches integrate()'s
+    # at t = 17.4, where the section's escape matches a dense-output one
     E = 1.0
     with pytest.raises(EscapeDetected) as info:
         poincare_section([seed], E, 100, escape_bound=5.0)
     err = info.value
     assert abs(err.state[0]) == 5.0
     with pytest.raises(EscapeDetected) as ref:
-        integrate(section_seed_state(*seed, E), 1000.0, escape_bound=5.0)
+        dense_orbit(section_seed_state(*seed, E), 1000.0, escape_bound=5.0)
     assert err.t == pytest.approx(ref.value.t, abs=1e-9)
     assert np.allclose(err.state, ref.value.state, atol=1e-9)
 
@@ -285,12 +287,25 @@ def test_surface_hit_lands_on_its_target():
         t, state, nfev = dynamics._hit(rhs, k, start.t, y, rhs(start.t, y), target, tol)
         assert state[k] == target
         assert t > start.t and nfev > 0
-        traj = integrate(start, t - start.t + 1.0)
-        assert np.abs(traj.dense(t) - state).max() <= 1e-12
+        assert np.abs(dense_orbit(start, t - start.t + 1.0)(t) - state).max() <= 1e-12
     # p_rho < 0 carries rho away from the axis: the orbit turns first
     y = [-0.05, 0.2, -0.3, 0.1]
     with pytest.raises(RuntimeError, match="turns"):
         dynamics._hit(rhs, 0, 0.0, y, rhs(0.0, y), 0.0, tol)
+
+
+def test_escape_reports_the_first_bound_reached():
+    # in free flight z reaches -20 at |t| = 0.025, rho reaches 20 at 0.1
+    def free(_t, y):
+        return (y[2], y[3], 0.0, 0.0)
+
+    for sense in (1.0, -1.0):
+        y0 = [19.9, -19.95, sense, -2.0 * sense]
+        y1 = [20.1, -20.35, sense, -2.0 * sense]
+        with pytest.raises(EscapeDetected) as info:
+            dynamics._escape(free, 0.0, y0, free(0.0, y0), 0.2 * sense, y1, 20.0, 1e-12)
+        assert info.value.t == pytest.approx(0.025 * sense, abs=1e-12)
+        assert info.value.state[1] == -20.0
 
 
 def test_loop_raises_on_a_non_finite_error_norm():
