@@ -139,6 +139,14 @@ def test_quasiperiodic_seed_traces_a_closed_curve():
     assert radii.max() / radii.min() < 1.2
 
 
+def test_crossings_lie_on_the_section():
+    section = poincare_section([(0.25, 0.0)], 0.1, 10)
+    state = section_seed_state(0.25, 0.0, 0.1)
+    dense = dense_orbit(state, float(section.points[:, 3].max()) + 1.0)
+    residuals = [abs(float(dense(t)[0])) for t in section.points[:, 3]]
+    assert max(residuals) < 1e-9
+
+
 def test_section_points_conserve_energy():
     section = poincare_section([(0.25, 0.0), (0.1, 0.05)], 0.1, 8)
     V = build_builtin_model()
