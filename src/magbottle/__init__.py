@@ -14,7 +14,6 @@ from .polyalg import (
     CanonicalPolynomial,
     ExponentKey,
     evaluate,
-    from_records,
     lie_transform,
     poisson_bracket,
     substitute_pairs,
@@ -26,7 +25,6 @@ __all__ = [
     "CanonicalPolynomial",
     "ExponentKey",
     "evaluate",
-    "from_records",
     "lie_transform",
     "poisson_bracket",
     "substitute_pairs",

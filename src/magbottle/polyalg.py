@@ -125,8 +125,6 @@ __all__ = [
     "substitute_pairs",
     "evaluate",
     "to_records",
-    "from_records",
-    "coefficient_distance",
 ]
 
 #: absolute magnitude at or below which coefficients are dropped
@@ -892,19 +890,3 @@ def to_records(f):
         )
     return records
 
-
-def from_records(records, trunc_order, degree_cap=None):
-    """Inverse of :func:`to_records`."""
-    terms = [
-        ((r["k1"], r["l1"], r["k2"], r["l2"]), r["re"] + 1j * r["im"], r["bk"])
-        for r in records
-    ]
-    return CanonicalPolynomial.from_terms(terms, trunc_order, degree_cap)
-
-
-def coefficient_distance(f, g):
-    """Max absolute coefficient difference over the union of term keys."""
-    d = f.as_dict()
-    for key, c in g.as_dict().items():
-        d[key] = d.get(key, 0.0) - c
-    return max((abs(v) for v in d.values()), default=0.0)

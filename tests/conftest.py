@@ -95,6 +95,6 @@ def res21_profile(res21_prep):
 @pytest.fixture(scope="session")
 def drift_orbit():
     # the 1e4-unit orbit whose energy drift both criterion 7 and
-    # test_energy_drift_stays_below_bound bound; 9-12 s to integrate on a
-    # loaded 2-core x86 host
+    # test_energy_drift_stays_below_bound bound; 3-4 s to integrate on a
+    # 2-core x86 host
     return integrate(OrbitState(0.9, 0.3, 0.2, 0.1), 1.0e4, tol=1e-12, n_samples=2001)

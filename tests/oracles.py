@@ -10,16 +10,19 @@ forms every monomial on its own, a product that sums its raw terms by
 sorting them, a sum that sorts the terms of both operands, a bracket that
 forms both products of every pair, a section field that adds one grid pass
 per term, a field CSV formatted cell by cell, a monodromy integrated over a
-half period, and a resonance scan that evaluates its grid one action at a
-time.
+half period, a resonance scan that evaluates its grid one action at a
+time, and a DOP853 trial step that loops over the tableau.  Two helpers
+read polynomials back: ``from_records`` inverts ``polyalg.to_records``,
+and ``coefficient_distance`` compares two polynomials term by term.
 """
 
 from fractions import Fraction
 from math import comb, sqrt
+from operator import mul
 
 import numpy as np
 import sympy as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 Q1, P1, Q2, P2 = sp.symbols("q1 p1 q2 p2")
@@ -659,3 +662,60 @@ def per_cell_field_lines(field):
             cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
             lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# polynomial records and distances
+# ---------------------------------------------------------------------------
+
+
+def from_records(records, trunc_order, degree_cap=None):
+    """Inverse of ``polyalg.to_records``."""
+    from magbottle.polyalg import CanonicalPolynomial
+
+    terms = [
+        ((r["k1"], r["l1"], r["k2"], r["l2"]), r["re"] + 1j * r["im"], r["bk"])
+        for r in records
+    ]
+    return CanonicalPolynomial.from_terms(terms, trunc_order, degree_cap)
+
+
+def coefficient_distance(f, g):
+    """Max absolute coefficient difference over the union of term keys."""
+    d = f.as_dict()
+    for key, c in g.as_dict().items():
+        d[key] = d.get(key, 0.0) - c
+    return max((abs(v) for v in d.values()), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# DOP853 trial step, a loop over the tableau
+# ---------------------------------------------------------------------------
+
+# row s of A keeps the s stages it combines, and the error weights drop
+# their last entry, the weight (0) of the derivative at the new state
+_STAGES = tuple(
+    (tuple(map(float, row[:s])), float(c))
+    for s, (row, c) in enumerate(zip(DOP853.A, DOP853.C))
+)[1:]
+_B = tuple(map(float, DOP853.B))
+_E3 = tuple(map(float, DOP853.E3[:-1]))
+_E5 = tuple(map(float, DOP853.E5[:-1]))
+
+
+def dop853_trial(fun, t, y, f, h):
+    """``(y_new, err5, err3)`` of one DOP853 trial step from ``(t, y)``, with
+    ``f = fun(t, y)``, as lists: every stage, the solution and the error
+    estimates sum a tableau row with ``sum(map(mul, ...))``, zero entries
+    included.  On Python 3.11 and older ``sum`` adds floats left to right;
+    from 3.12 it compensates the rounding of each addition.
+    """
+    # cols[i] holds component i of every stage derivative so far
+    cols = [[v] for v in f]
+    for a, c in _STAGES:
+        stage = [v + sum(map(mul, a, col)) * h for v, col in zip(y, cols)]
+        list(map(list.append, cols, fun(t + c * h, stage)))
+    y_new = [v + h * sum(map(mul, _B, col)) for v, col in zip(y, cols)]
+    err5 = [sum(map(mul, _E5, col)) for col in cols]
+    err3 = [sum(map(mul, _E3, col)) for col in cols]
+    return y_new, err5, err3

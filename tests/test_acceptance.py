@@ -60,11 +60,11 @@ from magbottle.normform import (
 )
 from magbottle.polyalg import (
     CanonicalPolynomial,
-    coefficient_distance,
     lie_transform,
     poisson_bracket,
 )
 
+from oracles import coefficient_distance
 from test_invariants import CHAIN_WINDOW, islands_and_rings
 
 TOL = 1e-11

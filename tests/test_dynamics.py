@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from operator import mul
 
 import numpy as np
 import pytest
@@ -30,7 +32,12 @@ from magbottle.model import (
 )
 
 from conftest import jittered_builtin
-from oracles import dense_orbit, dense_section_reference, half_period_monodromy
+from oracles import (
+    dense_orbit,
+    dense_section_reference,
+    dop853_trial,
+    half_period_monodromy,
+)
 
 # generic bound seed used for the drift and reversibility checks
 SEED = OrbitState(0.9, 0.3, 0.2, 0.1)
@@ -69,6 +76,20 @@ def test_negative_time_runs_backward():
     back = integrate(fwd.final_state, -10.0)
     assert back.times[-1] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(back.final_state.as_array(), SEED.as_array(), atol=1e-10)
+
+
+def test_empty_interval_gives_copies_of_the_initial_state():
+    # 1e-20 is below the spacing of floats at t = 1, so t + T == t
+    for start, T in ((SEED, 0.0), (OrbitState(0.9, 0.3, 0.2, 0.1, t=1.0), 1e-20)):
+        traj = integrate(start, T, n_samples=5)
+        assert traj.times.tolist() == [start.t] * 5
+        assert traj.states.tolist() == [start.as_array().tolist()] * 5
+
+
+def test_sample_count_below_one_is_rejected():
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            integrate(SEED, 1.0, n_samples=n_samples)
 
 
 def test_axis_orbit_escapes_through_the_neck():
@@ -331,6 +352,46 @@ def test_loop_raises_on_a_step_size_underflow():
 
     with pytest.raises(RuntimeError, match="underflow"):
         dynamics._dop853(noise, 1.0, [0.0], 2.0, 1e-12, lambda *_: None)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="sum() compensates float rounding from Python 3.12 on",
+)
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_trial_step_equals_the_tableau_loop(n):
+    rng = random.Random(n)
+    matrix = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+
+    def field(t, y):
+        return tuple(
+            math.sin(t) * v * v + sum(map(mul, row, y)) for v, row in zip(y, matrix)
+        )
+
+    cases = []
+    for _ in range(20):
+        y = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+        h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.0)
+        cases.append((field, rng.uniform(-5.0, 5.0), y, h))
+    if n == 4:
+        # the equatorial plane with z = p_z = -0.0, where every sum of the
+        # z and p_z components is a zero whose sign the step must keep
+        rhs = dynamics._rhs_factory(build_builtin_model())
+        cases += [(rhs, 0.0, [0.3, -0.0, 0.1, -0.0], h) for h in (0.1, -0.1)]
+    trial = dynamics._trial_for(n)
+    for fun, t, y, h in cases:
+        runs = []
+        for step in (trial, dop853_trial):
+            # every stage state goes into the record; repr tells -0.0 from 0.0
+            calls = []
+
+            def logged(s, x):
+                calls.append((s, list(x)))
+                return fun(s, x)
+
+            out = [list(part) for part in step(logged, t, y, fun(t, y), h)]
+            runs.append(repr((out, calls)))
+        assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------- monodromy

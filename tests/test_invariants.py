@@ -21,13 +21,17 @@ from magbottle.model import prepare_resonant
 from magbottle.normform import normalize
 from magbottle.polyalg import (
     CanonicalPolynomial,
-    coefficient_distance,
     substitute_pairs,
     to_records,
 )
 
 from conftest import truncated_view
-from oracles import pair_map_polynomials, per_term_compose, per_term_section_field
+from oracles import (
+    coefficient_distance,
+    pair_map_polynomials,
+    per_term_compose,
+    per_term_section_field,
+)
 
 #: window bounding the 2:1 island chain at E = 0.2 (chain spans
 #: |z| <= 0.26, |p_z| <= 0.14; the series' trust region ends around

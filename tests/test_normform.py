@@ -32,14 +32,13 @@ from magbottle.normform import (
 from magbottle.polyalg import (
     CanonicalPolynomial,
     _lattice,
-    coefficient_distance,
     conjugate,
     lie_transform,
     poisson_bracket,
 )
 
 from conftest import jittered_builtin
-from oracles import rational_action_series, rational_normal_form
+from oracles import coefficient_distance, rational_action_series, rational_normal_form
 
 
 def make(terms, trunc=10, cap=None):

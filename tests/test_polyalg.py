@@ -12,10 +12,8 @@ from magbottle.errors import NonNilpotentGenerator
 from magbottle.polyalg import (
     PRUNE_TOL,
     CanonicalPolynomial as CP,
-    coefficient_distance,
     conjugate,
     evaluate,
-    from_records,
     lie_transform,
     poisson_bracket,
     substitute_pairs,
@@ -23,8 +21,10 @@ from magbottle.polyalg import (
 )
 
 from oracles import (
+    coefficient_distance,
     concatenated_sum,
     four_product_bracket,
+    from_records,
     sorted_product,
     sympy_bracket,
     term_conjugate,
