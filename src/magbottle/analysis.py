@@ -70,21 +70,13 @@ def _aggregate_slice(poly, lo, hi):
     its order, so terms are binned accordingly: returns arrays
     (s, d1, k2, d2, weight) with weight the summed |coefficient|.
     """
-    part = poly.restrict_bk(lo, hi)
-    if part.nterms == 0:
-        empty = np.empty(0)
-        return empty.astype(int), empty.astype(int), empty.astype(int), empty.astype(int), empty
-    k1, l1, k2, l2, s, coeffs = part.term_arrays()
-    d1 = (k1.astype(int) + l1) // 2
-    d2 = (k2.astype(int) + l2) // 2
-    packed = ((s.astype(np.int64) * 256 + d1) * 256 + k2) * 256 + d2
-    uniq, inverse = np.unique(packed, return_inverse=True)
-    weight = np.bincount(inverse, weights=np.abs(coeffs))
-    d2u = uniq % 256
-    k2u = (uniq // 256) % 256
-    d1u = (uniq // 256**2) % 256
-    su = uniq // 256**3
-    return su.astype(int), d1u.astype(int), k2u.astype(int), d2u.astype(int), weight
+    k1, l1, k2, l2, s, coeffs = poly.restrict_bk(lo, hi).term_arrays()
+    index = (s, (k1 + l1) // 2, k2, (k2 + l2) // 2)
+    shape = tuple(int(e.max(initial=0)) + 1 for e in index)
+    cells, inverse = np.unique(np.ravel_multi_index(index, shape), return_inverse=True)
+    # an empty bincount comes out int64; the weights are float64 throughout
+    weight = np.bincount(inverse, weights=np.abs(coeffs)).astype(np.float64)
+    return (*np.unravel_index(cells, shape), weight)
 
 
 class RemainderProfile:
@@ -224,14 +216,13 @@ def optimal_order_scan(
     E: float,
     beta: float = 0.0,
     delta_E_grid=DEFAULT_DELTA_E_GRID,
-    fit_max: float = FIT_DELTA_E_MAX,
 ):
     """Locate r_opt per dE and fit the two asymptotic laws.
 
     Returns (RemainderNormTable, AsymptoticFit).  Emits
     FlatMinimumWarning when a minimum sits at the last captured order,
     i.e. the scan cannot certify it as interior.  When fewer than two
-    distinct dE values lie at or below ``fit_max`` the laws cannot be
+    distinct dE values lie at or below ``FIT_DELTA_E_MAX`` the laws cannot be
     fitted: the fit is None and DegenerateFitWarning is emitted.
     """
     N = profile.N
@@ -254,10 +245,10 @@ def optimal_order_scan(
             )
         r_opt[float(dE)] = int(best)
         optimal_norms[float(dE)] = float(curve[best])
-    fit_dEs = sorted(dE for dE in r_opt if dE <= fit_max)
+    fit_dEs = sorted(dE for dE in r_opt if dE <= FIT_DELTA_E_MAX)
     if len(fit_dEs) < 2:
         warnings.warn(
-            f"{len(fit_dEs)} delta_E value(s) at or below {fit_max:g}; "
+            f"{len(fit_dEs)} delta_E value(s) at or below {FIT_DELTA_E_MAX:g}; "
             "the scaling laws need two, fit skipped",
             DegenerateFitWarning,
             stacklevel=2,
@@ -276,7 +267,7 @@ def optimal_order_scan(
         d=-d_slope,
         d_rms=d_rms,
         delta_E_0=DELTA_E_0,
-        fit_max=fit_max,
+        fit_max=FIT_DELTA_E_MAX,
     )
     return table, fit
 

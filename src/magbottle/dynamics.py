@@ -86,6 +86,9 @@ _ATOL_FACTOR = 1e-3
 #: SECTION_TIME_PER_CROSSING * (n_crossings + 2)
 SECTION_TIME_PER_CROSSING = 12.0
 
+#: energy tolerance of the bisection in :func:`numerical_bifurcation_energy`
+_BIFURCATION_XTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OrbitState:
@@ -352,6 +355,9 @@ def _hit(fun, k, t, y, f, target, tol, direction=1.0):
     it tries the whole way as its first step, which the error control
     accepts unless the way is longer than a time step would be.
 
+    An orbit that starts on the surface hits it at once, with no
+    right-hand-side call.
+
     Raises
     ------
     RuntimeError
@@ -359,6 +365,8 @@ def _hit(fun, k, t, y, f, target, tol, direction=1.0):
         ``target`` in the sense of time: the orbit turns before it
         reaches the surface.
     """
+    if y[k] == target:
+        return t, y, 0
     sense = direction if target > y[k] else -direction
 
     def clock(f):
@@ -403,7 +411,6 @@ def integrate(
     T: float,
     tol: float = DEFAULT_TOL,
     potential: PotentialSpec | None = None,
-    escape_bound: float = ESCAPE_BOUND,
     n_samples: int = 1000,
 ) -> Trajectory:
     """Integrate the orbit for time ``T`` (negative T integrates backward).
@@ -421,7 +428,7 @@ def integrate(
     ValueError
         If ``n_samples`` is below 1.
     EscapeDetected
-        When |rho| or |z| reaches ``escape_bound``; the reported state
+        When |rho| or |z| reaches ``ESCAPE_BOUND``; the reported state
         lies on that bound.
     """
     if n_samples < 1:
@@ -436,7 +443,7 @@ def integrate(
     states = [y]
 
     def stop(t0, y0, f0, t1, y1):
-        _escape(rhs, t0, y0, f0, t1, y1, escape_bound, tol)
+        _escape(rhs, t0, y0, f0, t1, y1, ESCAPE_BOUND, tol)
         while pending and direction * (t1 - pending[-1]) >= 0.0:
             s = pending.pop()
             states.append(y1 if s == t1 else _reach(rhs, t0, y0, f0, s, tol)[0])
@@ -471,7 +478,6 @@ def poincare_section(
     n_crossings: int,
     tol: float = DEFAULT_TOL,
     potential: PotentialSpec | None = None,
-    escape_bound: float = ESCAPE_BOUND,
 ) -> SectionSet:
     """Record ``n_crossings`` section crossings for each (z, p_z) seed.
 
@@ -489,7 +495,7 @@ def poincare_section(
     SeedOutsideCZVError
         For seeds outside the accessible section domain.
     EscapeDetected
-        When |rho| or |z| reaches ``escape_bound``; the reported state
+        When |rho| or |z| reaches ``ESCAPE_BOUND``; the reported state
         lies on that bound.
     IncompleteSectionError
         If a seed's time budget, ``SECTION_TIME_PER_CROSSING`` per crossing,
@@ -508,7 +514,7 @@ def poincare_section(
         found = [(index, y[1], y[3], 0.0)]
 
         def stop(t0, y0, f0, t1, y1):
-            _escape(rhs, t0, y0, f0, t1, y1, escape_bound, tol)
+            _escape(rhs, t0, y0, f0, t1, y1, ESCAPE_BOUND, tol)
             if y0[0] < 0.0 <= y1[0]:
                 t_hit, y_hit, _ = _hit(rhs, 0, t0, y0, f0, 0.0, tol)
                 found.append((index, y_hit[1], y_hit[3], t_hit))
@@ -600,7 +606,6 @@ def numerical_bifurcation_energy(
     potential: PotentialSpec | None = None,
     bracket=(1e-3, 0.55),
     tol: float = 1e-11,
-    xtol: float = 1e-10,
     traces: dict | None = None,
 ) -> float:
     """Energy where the transverse rotation number reaches m2/m1.
@@ -645,7 +650,7 @@ def numerical_bifurcation_energy(
         if f_right == 0.0:
             return float(right)
         if f_left > 0.0 > f_right or f_left < 0.0 < f_right:
-            return float(brentq(f, float(left), float(right), xtol=xtol))
+            return float(brentq(f, float(left), float(right), xtol=_BIFURCATION_XTOL))
         f_left = f_right
     raise NoBifurcationInRange(
         f"rotation number {m2}/{m1} not reached for E in [{lo}, {hi}]"

@@ -116,18 +116,6 @@ class PotentialSpec:
             terms[(a - n_rho, b - n_z)] = c
         return PotentialSpec(terms, source=self.source)
 
-    def partial_rho(self, rho, z):
-        """dV/drho; broadcasts over array inputs."""
-        return self.derivative(1, 0).value(rho, z)
-
-    def partial_z(self, rho, z):
-        """dV/dz; broadcasts over array inputs."""
-        return self.derivative(0, 1).value(rho, z)
-
-    def partial_zz(self, rho, z):
-        """d2V/dz2; broadcasts over array inputs."""
-        return self.derivative(0, 2).value(rho, z)
-
     def __eq__(self, other):
         if not isinstance(other, PotentialSpec):
             return NotImplemented

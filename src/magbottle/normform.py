@@ -31,7 +31,6 @@ from .model import PreparedHamiltonian
 from .polyalg import (
     _IPOW,
     CanonicalPolynomial,
-    _exponents,
     conjugate,
     lie_transform,
     poisson_bracket,
@@ -116,7 +115,8 @@ def _partition(poly, kernel):
     """Split ``poly`` into (kernel part, complement) preserving truncation."""
     if poly.nterms == 0:
         return poly, poly
-    mask = kernel.mask(*_exponents(poly._keys))
+    k1, l1, k2, l2, _, _ = poly.term_arrays()
+    mask = kernel.mask(k1, l1, k2, l2)
     inside = poly._same_bounds(poly._keys[mask], poly._coeffs[mask])
     outside = poly._same_bounds(poly._keys[~mask], poly._coeffs[~mask])
     return inside, outside
@@ -141,21 +141,19 @@ def solve_homological_nonresonant(
     """
     if htilde.nterms == 0:
         return htilde
-    keys = htilde._keys
-    coeffs = htilde._coeffs
-    k1, l1, k2, l2 = _exponents(keys)
+    k1, l1, k2, l2, _, coeffs = htilde.term_arrays(lexicographic=True)
     degree = int(2 * r + 2)
     if not np.all(k1 + l1 + k2 + l2 == degree):
         raise ValueError(f"terms of order {r} must have polynomial degree {degree}")
     out = []
-    block_ids = (k1.astype(np.int64) << 8) | l1.astype(np.int64)
-    for block in np.unique(block_ids):
-        sel = block_ids == block
-        k = int(block >> 8)
-        l = int(block & 0xFF)
+    # sorted by (k1, l1) first, each block is a run
+    new_block = (k1[1:] != k1[:-1]) | (l1[1:] != l1[:-1])
+    bounds = np.flatnonzero(np.concatenate([[True], new_block, [True]]))
+    for i0, i1 in zip(bounds[:-1], bounds[1:]):
+        k, l = int(k1[i0]), int(l1[i0])
         span = degree - k - l
         h = np.zeros(span + 1, dtype=np.complex128)
-        h[k2[sel]] = coeffs[sel]
+        h[k2[i0:i1]] = coeffs[i0:i1]
         b = np.zeros(span + 1, dtype=np.complex128)
         if k != l:
             c = 1j * (l - k) * omega10
@@ -188,7 +186,6 @@ def solve_homological_resonant(
     omega2: float,
     m1: int,
     m2: int,
-    divisor_floor: float = DIVISOR_FLOOR,
 ) -> CanonicalPolynomial:
     """Generator chi_r with ``{Z_0, chi_r} = -Htilde_r`` in resonant mode.
 
@@ -198,25 +195,25 @@ def solve_homological_resonant(
     Raises
     ------
     SmallDivisorError
-        If a divisor magnitude falls below ``divisor_floor``, reporting the
+        If a divisor magnitude falls below ``DIVISOR_FLOOR``, reporting the
         offending exponent key.
     """
     if htilde.nterms == 0:
         return htilde
-    k1, l1, k2, l2 = _exponents(htilde._keys)
-    dk1 = k1.astype(np.int64) - l1
-    dk2 = k2.astype(np.int64) - l2
+    k1, l1, k2, l2, _, coeffs = htilde.term_arrays()
+    dk1 = k1 - l1
+    dk2 = k2 - l2
     if np.any(dk1 * m1 + dk2 * m2 == 0):
         raise ValueError(
             f"terms inside the {m1}:{m2} kernel must not reach the resonant solver"
         )
     divisor = dk1 * omega1 + dk2 * omega2
-    small = np.abs(divisor) < divisor_floor
+    small = np.abs(divisor) < DIVISOR_FLOOR
     if np.any(small):
         i = int(np.argmax(small))
         key = (int(k1[i]), int(l1[i]), int(k2[i]), int(l2[i]))
-        raise SmallDivisorError(key, float(divisor[i]), divisor_floor)
-    return htilde._same_bounds(htilde._keys.copy(), htilde._coeffs / (1j * divisor))
+        raise SmallDivisorError(key, float(divisor[i]), DIVISOR_FLOOR)
+    return htilde._same_bounds(htilde._keys.copy(), coeffs / (1j * divisor))
 
 
 @dataclass
@@ -283,7 +280,6 @@ def normalize(
     r_max: int,
     r_trunc: int = DEFAULT_TRUNC,
     step_callback=None,
-    divisor_floor: float = DIVISOR_FLOOR,
     transverse_cap: int | None = None,
 ) -> NormalizationState:
     """Run ``r_max`` normalization steps, truncating at order ``r_trunc``.
@@ -359,7 +355,6 @@ def normalize(
                     prepared.resonance.omega2,
                     prepared.resonance.m1,
                     prepared.resonance.m2,
-                    divisor_floor,
                 )
             residual = poisson_bracket(z0, chi, pairs) + htilde
             state.residuals.append((residual.max_abs(), htilde.max_abs()))

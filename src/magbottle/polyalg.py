@@ -6,6 +6,13 @@ and a complex128 array holds the coefficients. Keys are kept strictly
 increasing, which makes book-keeping groups contiguous (the bk field occupies
 the high bits) and every operation deterministic.
 
+The layout is private to this module. ``_pack`` is the only writer of whole
+keys, on scalars and arrays alike, and ``_exponents`` the only reader of all
+four exponents; a few kernels below shift or mask single fields in place.
+Other modules read exponents through :meth:`CanonicalPolynomial.term_arrays`
+and build polynomials through :meth:`CanonicalPolynomial.from_terms`, so a
+wider packing changes this module alone.
+
 Grading and truncation
 ----------------------
 Each term carries a book-keeping order ``bk``; the numerical value of the
@@ -164,12 +171,14 @@ class ExponentKey(NamedTuple):
 
 
 def _pack(k1, l1, k2, l2, bk):
+    """The key of exponents (k1, l1, k2, l2) at book-keeping order ``bk``;
+    scalars give an int, integer arrays an array of keys."""
     return (
-        int(k1) << _SHIFTS[0]
-        | int(l1) << _SHIFTS[1]
-        | int(k2) << _SHIFTS[2]
-        | int(l2) << _SHIFTS[3]
-        | int(bk) << _BK_SHIFT
+        k1 << _SHIFTS[0]
+        | l1 << _SHIFTS[1]
+        | k2 << _SHIFTS[2]
+        | l2 << _SHIFTS[3]
+        | bk << _BK_SHIFT
     )
 
 
@@ -276,23 +285,24 @@ class CanonicalPolynomial:
     @classmethod
     def from_terms(cls, terms, trunc_order, degree_cap=None, transverse_cap=None):
         """Build from an iterable of ``((k1, l1, k2, l2), coeff, bk)`` triples."""
-        keys = []
-        coeffs = []
-        for key, coeff, bk in terms:
-            k1, l1, k2, l2 = key
-            for e in (k1, l1, k2, l2):
-                if not 0 <= int(e) <= _MAX_EXPONENT:
-                    raise ValueError(f"exponent {e} outside [0, {_MAX_EXPONENT}]")
-            if bk < 0:
-                raise ValueError(f"negative book-keeping order {bk}")
-            keys.append(_pack(k1, l1, k2, l2, bk))
-            coeffs.append(complex(coeff))
+        terms = list(terms)
+        exps = np.array([key for key, _, _ in terms], dtype=np.int64).reshape(-1, 4)
+        bk = np.array([s for _, _, s in terms], dtype=np.int64)
+        coeffs = np.array([complex(c) for _, c, _ in terms], dtype=np.complex128)
+        bad_exps = (exps < 0) | (exps > _MAX_EXPONENT)
+        # bk fills the key's bits above _BK_SHIFT; a larger one would wrap
+        bad = bad_exps.any(axis=1) | (bk >> (63 - _BK_SHIFT) != 0)
+        if bad.any():
+            # the first bad term names its first bad exponent, else its bk
+            i = int(np.argmax(bad))
+            if bad_exps[i].any():
+                e = exps[i, np.argmax(bad_exps[i])]
+                raise ValueError(f"exponent {e} outside [0, {_MAX_EXPONENT}]")
+            if bk[i] < 0:
+                raise ValueError(f"negative book-keeping order {bk[i]}")
+            raise ValueError(f"book-keeping order {bk[i]} does not fit the key")
         return cls(
-            np.array(keys, dtype=np.int64),
-            np.array(coeffs, dtype=np.complex128),
-            trunc_order,
-            degree_cap,
-            transverse_cap,
+            _pack(*exps.T, bk), coeffs, trunc_order, degree_cap, transverse_cap
         )
 
     def copy(self, trunc_order=None, degree_cap=None, transverse_cap=None):
@@ -639,14 +649,7 @@ def _dense_order(s, pairs, raw, bounds):
     keep = deg <= cap
     if transverse_cap is not None:
         keep &= k2 + l2 <= transverse_cap
-    keys = (
-        k1[keep]
-        | l1[keep] << _SHIFTS[1]
-        | k2[keep] << _SHIFTS[2]
-        | l2[keep] << _SHIFTS[3]
-        | s << _BK_SHIFT
-    )
-    return keys, merged[keep]
+    return _pack(k1[keep], l1[keep], k2[keep], l2[keep], s), merged[keep]
 
 
 def _p_degrees(keys):

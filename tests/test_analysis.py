@@ -67,6 +67,36 @@ def test_norm_matches_direct_state_evaluation(nonres_profile, nf5):
     assert via_state.norm(5, 6, 0.2, 1e-3) == pytest.approx(via_profile, rel=1e-12)
 
 
+def _binned_by_dict(poly, lo, hi):
+    """(s, d1, k2, d2, weight) of ``_aggregate_slice``, term by term: each
+    |c| adds to its cell in storage order, and the cells come sorted."""
+    cells = {}
+    for k1, l1, k2, l2, s, c in zip(*(a.tolist() for a in poly.term_arrays())):
+        if lo <= s <= hi:
+            cell = (s, (k1 + l1) // 2, k2, (k2 + l2) // 2)
+            cells[cell] = cells.get(cell, 0.0) + abs(c)
+    order = sorted(cells)
+    columns = [np.array([cell[i] for cell in order], dtype=np.int64) for i in range(4)]
+    return (*columns, np.array([cells[cell] for cell in order], dtype=np.float64))
+
+
+@pytest.mark.parametrize("state", ["nf8", "res21_nf8"])
+def test_aggregate_slice_equals_a_dict_reference_bitwise(state, request):
+    ham = request.getfixturevalue(state).hamiltonian
+    for lo, hi in ((ham.trunc_order, ham.trunc_order), (3, ham.trunc_order), (0, 99)):
+        got = _aggregate_slice(ham, lo, hi)
+        want = _binned_by_dict(ham, lo, hi)
+        assert got[0].size > 0
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # an empty order range: empty arrays of the same dtypes, and a zero norm
+    empty = _aggregate_slice(ham, ham.trunc_order + 1, ham.trunc_order + 3)
+    assert [a.size for a in empty] == [0] * 5
+    assert [a.dtype for a in empty] == [np.dtype(np.int64)] * 4 + [np.dtype(np.float64)]
+    profile = RemainderProfile("nonresonant", 1.0, lambda action: 1.0, 20, {1: empty})
+    assert profile.norm(1, 20, 0.2, 1e-3, beta=0.5) == 0.0
+
+
 def test_truncation_convergence_at_optimal_order(nonres_profile):
     # near the optimum the N-sum has converged; away from it the tail shows
     assert nonres_profile.norm(8, 20, 0.2, 1e-3) == pytest.approx(

@@ -108,6 +108,16 @@ def test_axis_orbit_escapes_backward():
     assert abs(info.value.state[1]) == pytest.approx(20.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p_rho, T", [(0.1, 1.0), (-0.1, -1.0)])
+def test_orbit_starting_on_the_escape_bound_escapes_at_once(p_rho, T):
+    # rho moves outward in the sense of time, forward and backward alike
+    start = OrbitState(20.0, 0.0, p_rho, 0.0)
+    with pytest.raises(EscapeDetected) as info:
+        integrate(start, T)
+    assert info.value.t == 0.0
+    assert info.value.state == (20.0, 0.0, p_rho, 0.0)
+
+
 def test_radial_escape_over_an_open_barrier():
     hilltop = parse_potential("0.5*rho^2 - 0.125*rho^4")
     with pytest.raises(EscapeDetected) as info:
@@ -189,7 +199,9 @@ def test_rhs_is_the_force_of_the_potential_bitwise():
     rhs = dynamics._rhs_factory(V)
     for y in ((0.3, 0.2, 0.1, -0.05), (1.4, -0.9, 0.0, 0.7), (-0.8, 1.7, -0.2, 0.0)):
         rho, z, prho, pz = y
-        want = (prho, pz, -V.partial_rho(rho, z), -V.partial_z(rho, z))
+        frho = V.derivative(1, 0).value(rho, z)
+        fz = V.derivative(0, 1).value(rho, z)
+        want = (prho, pz, -frho, -fz)
         assert rhs(0.0, y) == want
 
 
@@ -235,12 +247,13 @@ def test_every_crossing_is_on_the_section_to_1e_12():
     assert max(residuals) <= 1e-12
 
 
-def test_section_seed_above_the_escape_energy_escapes():
+def test_section_seed_above_the_escape_energy_escapes(monkeypatch):
     # above 16/27 the orbit leaves the well along the valley rho^2 = 8 + 4 z^2
+    monkeypatch.setattr(dynamics, "ESCAPE_BOUND", 5.0)
     seed, E = (1.0, 0.0), 0.62
     assert E > critical_energy(build_builtin_model())
     with pytest.raises(EscapeDetected) as info:
-        poincare_section([seed], E, 100, escape_bound=5.0)
+        poincare_section([seed], E, 100)
     err = info.value
     assert abs(err.state[0]) == 5.0
     assert OrbitState(*err.state).energy() == pytest.approx(E, abs=1e-9)
@@ -249,7 +262,7 @@ def test_section_seed_above_the_escape_energy_escapes():
     # at t = 17.4, where the section's escape matches a dense-output one
     E = 1.0
     with pytest.raises(EscapeDetected) as info:
-        poincare_section([seed], E, 100, escape_bound=5.0)
+        poincare_section([seed], E, 100)
     err = info.value
     assert abs(err.state[0]) == 5.0
     with pytest.raises(EscapeDetected) as ref:
@@ -416,7 +429,7 @@ def test_turning_point_is_a_root_to_rounding():
             rho_t = equatorial_turning_point(E, V)
             assert abs(V.value(rho_t, 0.0) - E) <= 1e-14
             # the inner branch: the profile still rises at rho_t
-            assert V.partial_rho(rho_t, 0.0) > 0.0
+            assert V.derivative(1, 0).value(rho_t, 0.0) > 0.0
 
 
 def test_turning_point_of_a_confining_well():

@@ -77,6 +77,34 @@ def test_exponent_validation():
         make([((0, 0, 0, 0), 1.0, -1)])
 
 
+def test_from_terms_reads_a_one_shot_generator_as_its_list():
+    terms = [
+        ((k % 7, 2, k // 7, k % 3), complex(k + 1, -0.5 * k), k % 4) for k in range(40)
+    ]
+    listed = make(terms)
+    streamed = make(t for t in terms)
+    assert np.array_equal(streamed._keys, listed._keys)
+    assert np.array_equal(streamed._coeffs, listed._coeffs)
+    # the array packing gives the keys that packing each term alone gives
+    one_by_one = sorted(polyalg._pack(*key, bk) for key, _, bk in terms)
+    assert listed._keys.tolist() == one_by_one
+    assert make(t for t in ()).nterms == 0
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([((0, 0, 0, 0), 1.0, -2), ((0, 130, -1, 0), 1.0, 0)], "book-keeping order -2"),
+        ([((0, 0, 0, 0), 1.0, 0), ((0, 130, -1, 0), 1.0, -3)], "exponent 130 outside"),
+        ([((5, 0, 0, -1), 1.0, -1)], "exponent -1 outside"),
+        ([((1, 0, 0, 0), 1.0, 2), ((0, 0, 0, 0), 1.0, 1 << 23)], "8388608 does not"),
+    ],
+)
+def test_from_terms_names_the_first_bad_exponent_or_bk(terms, message):
+    with pytest.raises(ValueError, match=message):
+        make(terms)
+
+
 def test_default_degree_cap_past_the_packing_raises():
     # order-s terms have degree 2s + 2, so the default cap of trunc_order
     # 127 is 256; clamping it would drop every term of order 127 unseen
