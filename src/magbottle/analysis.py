@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateFitWarning,
@@ -38,7 +37,7 @@ from .errors import (
     NoRootError,
     RangeError,
 )
-from .model import PreparedHamiltonian, critical_energy
+from .model import PreparedHamiltonian, brentq, critical_energy
 from .normform import equatorial_energy_series, extract_omega2_squared, normalize
 
 __all__ = [

@@ -21,9 +21,10 @@ quarter period already fixes that matrix:
 
 Sections and the monodromy run one DOP853 loop on Python floats,
 :func:`_dop853`, which steps as ``scipy.integrate.DOP853`` does (the same
-tableau, initial step, error norm and controller) and hands each accepted
-step to a stop test.  A step that crosses a surface y_k = const (the
-section rho = 0, the quarter turn, an escape bound) goes to :func:`_hit`,
+initial step, error norm and controller, and the same tableau, written
+here as literal coefficients that a test pins to scipy's) and hands each
+accepted step to a stop test.  A step that crosses a surface y_k = const
+(the section rho = 0, the quarter turn, an escape bound) goes to :func:`_hit`,
 Henon's trick (M. Henon, Physica D 5 (1982) 412): with y_k as the
 independent variable, d/dy_k = f/f_k, the integration ends on the surface
 exactly, so no dense output, root finder or Newton polish is needed.
@@ -48,8 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .errors import (
     EscapeDetected,
@@ -57,7 +56,13 @@ from .errors import (
     NoBifurcationInRange,
     SeedOutsideCZVError,
 )
-from .model import PotentialSpec, critical_energy, equatorial_roots, resolve_potential
+from .model import (
+    PotentialSpec,
+    brentq,
+    critical_energy,
+    equatorial_roots,
+    resolve_potential,
+)
 
 __all__ = [
     "OrbitState",
@@ -192,14 +197,72 @@ def _rhs_factory(potential: PotentialSpec):
     return rhs
 
 
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+# The DOP853 tableau (Hairer, Norsett & Wanner, Sec. II.5) of its 12 stages:
+# the nodes C, the rows A[s, :s], the 8th-order weights B and the weights of
+# the 3rd- and 5th-order error estimates.  tests/test_dynamics.py pins every
+# float to scipy.integrate.DOP853, whose E3 and E5 also weight the derivative
+# at the new state, by 0.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+        12.360567175794303, 0.6433927460157636,
+    ),
+)
+_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+_ERROR_ESTIMATOR_ORDER = 7
+_ERROR_EXPONENT = -1.0 / (_ERROR_ESTIMATOR_ORDER + 1)
 
 
 def _dot(coefficients, component, start=""):
     """Source of the sum of ``coefficients[j] * k{j}_{component}`` over the
     nonzero coefficients, added left to right after ``start``."""
     return start + " + ".join(
-        f"{float(c)!r} * k{j}_{component}" for j, c in enumerate(coefficients) if c
+        f"{c!r} * k{j}_{component}" for j, c in enumerate(coefficients) if c
     )
 
 
@@ -210,14 +273,15 @@ def _trial_for(n):
     ``trial(fun, t, y, f, h)`` returns ``(y_new, err5, err3)``: the 8th-order
     solution at ``t + h`` as a list, and the 5th- and 3rd-order error
     estimates of each component.  It is straight-line source built from
-    ``scipy.integrate.DOP853``'s ``A``, ``B``, ``C``, ``E3`` and ``E5``:
-    every tableau entry is a literal, every state component and stage
-    derivative a local, and the zero entries are left out.  Each sum adds
-    its products left to right after a leading 0.0, as ``sum`` adds the
-    products of a tableau row up to Python 3.11, so the step forms the
-    floats of a loop over the tableau, the sign of a zero included, as long
-    as the stage derivatives are finite.  The error sums go on to be squared, so they
-    drop the leading 0.0.
+    the literal coefficients ``_A``, ``_B``, ``_C``, ``_E3`` and ``_E5``,
+    which a test pins to ``scipy.integrate.DOP853``'s: every tableau entry
+    is a literal, every state component and stage derivative a local, and
+    the zero entries are left out.  Each sum adds its products left to
+    right after a leading 0.0, as ``sum`` adds the products of a tableau
+    row up to Python 3.11, so the step forms the floats of a loop over the
+    tableau, the sign of a zero included, as long as the stage derivatives
+    are finite.  The error sums go on to be squared, so they drop the
+    leading 0.0.
     """
     ys = [f"y{i}" for i in range(n)]
     lines = [
@@ -225,17 +289,15 @@ def _trial_for(n):
         f"    {', '.join(ys)}, = y",
         f"    {', '.join(f'k0_{i}' for i in range(n))}, = f",
     ]
-    for s in range(1, DOP853.n_stages):
-        a = DOP853.A[s, :s]
-        stage = ", ".join(f"{ys[i]} + ({_dot(a, i, '0.0 + ')}) * h" for i in range(n))
+    for s in range(1, len(_C)):
+        stage = ", ".join(f"{ys[i]} + ({_dot(_A[s], i, '0.0 + ')}) * h" for i in range(n))
         lines.append(
             f"    {', '.join(f'k{s}_{i}' for i in range(n))}, "
-            f"= fun(t + {float(DOP853.C[s])!r} * h, [{stage}])"
+            f"= fun(t + {_C[s]!r} * h, [{stage}])"
         )
-    new = ", ".join(f"{ys[i]} + h * ({_dot(DOP853.B, i, '0.0 + ')})" for i in range(n))
-    # the error weights of the derivative at the new state are 0
-    err5 = ", ".join(_dot(DOP853.E5[:-1], i) for i in range(n))
-    err3 = ", ".join(_dot(DOP853.E3[:-1], i) for i in range(n))
+    new = ", ".join(f"{ys[i]} + h * ({_dot(_B, i, '0.0 + ')})" for i in range(n))
+    err5 = ", ".join(_dot(_E5, i) for i in range(n))
+    err3 = ", ".join(_dot(_E3, i) for i in range(n))
     lines.append(f"    return [{new}], ({err5},), ({err3},)")
     namespace = {}
     exec("\n".join(lines), namespace)

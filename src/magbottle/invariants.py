@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .dynamics import section_seed_state
 from .errors import NonRealIntegralError
@@ -262,6 +261,36 @@ def section_levels(
     return out
 
 
+def _label8(mask):
+    """The 8-connected components of a boolean grid, by flood fill.
+
+    Returns one ``(rows, cols)`` pair of index arrays per component, its
+    cells in raster order, and the components in raster order of their
+    first cells: the numbering of ``ndimage.label`` with a 3x3 structure.
+    """
+    padded = np.pad(mask, 1)  # a False border: no neighbour wraps a row
+    width = padded.shape[1]
+    steps = (-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1)
+    cells = np.flatnonzero(padded).tolist()
+    unseen = set(cells)
+    components = []
+    for first in cells:
+        if first not in unseen:
+            continue
+        unseen.remove(first)
+        stack, members = [first], []
+        while stack:
+            cell = stack.pop()
+            members.append(cell)
+            for step in steps:
+                if cell + step in unseen:
+                    unseen.remove(cell + step)
+                    stack.append(cell + step)
+        rows, cols = np.divmod(np.sort(members), width)
+        components.append((rows - 1, cols - 1))
+    return components
+
+
 def level_set_components(level_set: SectionLevelSet) -> list:
     """Connected components of the discretized contour Phi_sect = level.
 
@@ -281,10 +310,8 @@ def level_set_components(level_set: SectionLevelSet) -> list:
     mask[1:, :] |= flip_z
     mask[:, :-1] |= flip_pz
     mask[:, 1:] |= flip_pz
-    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     components = []
-    for lab in range(1, n + 1):
-        iz, ipz = np.nonzero(labels == lab)
+    for iz, ipz in _label8(mask):
         z = level_set.z_axis[iz]
         pz = level_set.pz_axis[ipz]
         keep = np.hypot(z, pz) > 1e-9

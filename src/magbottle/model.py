@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,6 +352,70 @@ def parse_potential(text: str) -> PotentialSpec:
     if not text.strip():
         raise ParseError("empty potential expression")
     return PotentialSpec(_Parser(text).parse(), source="parsed")
+
+
+def brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """A root of ``f`` in [a, b] by Brent's method.
+
+    A line-for-line port of scipy's ``optimize/Zeros/brentq.c``, with the
+    NaN check of ``scipy.optimize.brentq``: for the same arguments it calls
+    ``f`` at the same floats and returns the same root, within
+    ``xtol + rtol * |root|``.
+
+    Raises
+    ------
+    ValueError
+        If f(a) and f(b) have the same sign, or ``f`` returns NaN.
+    RuntimeError
+        If ``maxiter`` iterations do not converge.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def equatorial_roots(spec: PotentialSpec) -> list:

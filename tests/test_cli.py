@@ -86,6 +86,36 @@ def test_section_replay_is_byte_identical(tmp_path):
     assert before == after
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy serves the test oracles only: a section (its level-set flood
+    # fill), a bifurcation with the numeric scan and a resonant asymptotics
+    # run (the two Brent roots) import none of it, eagerly or lazily
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0.0 0.05\n")
+    jobs = [
+        ["section", "--order", "2", "--energy", "0.1", "--n-crossings", "3",
+         "--grid-n", "41", "--seed-file", str(seeds)],
+        ["bifurcation", "--pair", "2:1", "--locator-order", "6"],
+        ["asymptotics", "--mode", "res", "--order-cap", "6", "--locator-order", "6",
+         "--delta-e", "1e-4", "--delta-e", "1e-3"],
+    ]
+    argvs = [job + ["--out", str(tmp_path / job[0])] for job in jobs]
+    code = (
+        "import json, sys\n"
+        "import magbottle.cli as cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
+
+
 def test_normalize_replay_is_byte_identical(tmp_path):
     out = tmp_path / "run"
     run_cli(

@@ -367,6 +367,19 @@ def test_loop_raises_on_a_step_size_underflow():
         dynamics._dop853(noise, 1.0, [0.0], 2.0, 1e-12, lambda *_: None)
 
 
+def test_tableau_literals_are_scipys_bitwise():
+    # repr tells every float apart, the sign of a zero included
+    n = DOP853.n_stages
+    assert repr(dynamics._C) == repr(tuple(DOP853.C.tolist()))
+    assert repr(dynamics._A) == repr(tuple(tuple(DOP853.A[s, :s].tolist()) for s in range(n)))
+    assert not np.triu(DOP853.A).any()  # the rows carry every stage weight
+    assert repr(dynamics._B) == repr(tuple(DOP853.B.tolist()))
+    # scipy's error weights also weight the derivative at the new state, by 0
+    assert repr(dynamics._E3 + (0.0,)) == repr(tuple(DOP853.E3.tolist()))
+    assert repr(dynamics._E5 + (0.0,)) == repr(tuple(DOP853.E5.tolist()))
+    assert dynamics._ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+
+
 @pytest.mark.skipif(
     sys.version_info >= (3, 12),
     reason="sum() compensates float rounding from Python 3.12 on",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from magbottle.analysis import bifurcation_energy
 from magbottle import invariants
@@ -256,6 +257,41 @@ def test_island_counts_3to1(res31_nf8):
         level = section_levels(phi, 0.115, [seed], grid=window)[0]
         islands, _rings = islands_and_rings(level)
         assert islands == 6
+
+
+def _label_masks():
+    rng = np.random.default_rng(11)
+    corner = np.zeros((6, 6), dtype=bool)
+    corner[:2, :2] = corner[2:4, 2:4] = corner[4, 0] = corner[5, 5] = True
+    masks = {
+        "empty": np.zeros((5, 7), dtype=bool),
+        "full": np.ones((6, 4), dtype=bool),
+        "strip": np.ones((1, 9), dtype=bool),
+        "broken_strip": np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool),
+        "column": np.array([[1], [1], [0], [1]], dtype=bool),
+        "corner_touch": corner,
+        "anti_diagonal": np.eye(5, dtype=bool)[::-1],
+        "checkerboard": np.add.outer(np.arange(7), np.arange(5)) % 2 == 0,
+    }
+    for shape in ((1, 17), (17, 1), (23, 31)):
+        for density in (0.1, 0.3, 0.5, 0.7):
+            masks[f"random_{shape[0]}x{shape[1]}_{density}"] = rng.random(shape) < density
+    return masks
+
+
+LABEL_MASKS = _label_masks()
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MASKS))
+def test_label8_numbers_components_as_ndimage(name):
+    mask = LABEL_MASKS[name]
+    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    got = invariants._label8(mask)
+    assert len(got) == n
+    for lab, (rows, cols) in enumerate(got, start=1):
+        want_rows, want_cols = np.nonzero(labels == lab)
+        for a, b in ((rows, want_rows), (cols, want_cols)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ------------------------------------------------------- resonant preparation

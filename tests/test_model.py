@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from magbottle.errors import (
     InvalidFrequencyError,
@@ -14,6 +15,7 @@ from magbottle.errors import (
 )
 from magbottle.model import (
     PotentialSpec,
+    brentq,
     build_builtin_model,
     complexify_nonresonant,
     critical_energy,
@@ -342,3 +344,66 @@ def test_resonant_real_on_reality_submanifold():
         direct = 0.5 * (prho**2 + pz**2) + build_builtin_model().value(rho, z)
         assert abs(value.imag) < 1e-12
         assert value.real == pytest.approx(direct, abs=1e-12)
+
+
+# ---------------------------------------------------------------- root finder
+
+BRENT_CASES = {
+    "exp": (lambda x: math.exp(x) - 2.0, 0.0, 10.0),
+    "cubic": (lambda x: x**3 - x - 1.0, 1.0, 2.0),
+    "cos_reversed": (lambda x: math.cos(x) - x, 1.0, -1.0),
+    "shallow_root": (lambda x: (x - 0.3) ** 3 + 1e-6 * (x - 0.3), 0.0, 1.0),
+    "steep_atan": (lambda x: math.atan(1e3 * (x - 1e-3)), -2.0, 2.0),
+    "root_at_zero": (lambda x: x * (1.0 + x * x), -1.0, 3.0),
+    "root_at_a": (lambda x: x - 0.5, 0.5, 2.0),
+    "root_at_b": (lambda x: x - 2.0, 0.5, 2.0),
+}
+
+
+@pytest.mark.parametrize("xtol", [5e-324, 1e-14, 2e-12, 1e-6])
+@pytest.mark.parametrize("case", sorted(BRENT_CASES))
+def test_brentq_calls_f_where_scipy_does(case, xtol):
+    f, a, b = BRENT_CASES[case]
+    runs = []
+    for solver in (brentq, scipy_brentq):
+        calls = []
+
+        def logged(x):
+            calls.append(x)
+            return f(x)
+
+        root = solver(logged, a, b, xtol=xtol)
+        runs.append(repr((root, calls)))  # repr tells -0.0 from 0.0
+    assert runs[0] == runs[1]
+
+
+def test_brentq_rtol_and_maxiter_follow_scipy():
+    f, a, b = BRENT_CASES["shallow_root"]
+    for kwargs in ({"rtol": 1e-6}, {"rtol": 1e-3, "maxiter": 500}):
+        assert repr(brentq(f, a, b, 1e-12, **kwargs)) == repr(
+            scipy_brentq(f, a, b, xtol=1e-12, **kwargs)
+        )
+
+
+def _error(solver, *args, **kwargs):
+    with pytest.raises((ValueError, RuntimeError)) as info:
+        solver(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_brentq_errors_are_scipys():
+    same_sign = (lambda x: x * x + 1.0, -1.0, 1.0)
+    nan_inside = (lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0)
+    # near a ninth-order root f is rounding noise, and the steps stall
+    flat_root = (lambda x: (x - 0.3) ** 9, 0.0, 1.0)
+    cases = [
+        (same_sign, {}, ValueError, "f(a) and f(b) must have different signs"),
+        (nan_inside, {}, ValueError, "The function value at x=0.5 is NaN"),
+        (flat_root, {}, RuntimeError, "Failed to converge after 100 iterations."),
+        (BRENT_CASES["cubic"], {"maxiter": 3}, RuntimeError,
+         "Failed to converge after 3 iterations."),
+    ]
+    for (f, a, b), kwargs, kind, message in cases:
+        ours = _error(brentq, f, a, b, 1e-12, **kwargs)
+        assert ours == _error(scipy_brentq, f, a, b, xtol=1e-12, **kwargs)
+        assert ours[0] is kind and ours[1].startswith(message)
