@@ -354,20 +354,25 @@ def parse_potential(text: str) -> PotentialSpec:
     return PotentialSpec(_Parser(text).parse(), source="parsed")
 
 
-def brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
+# scipy.optimize.brentq's defaults, and the only values the callers use
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol):
     """A root of ``f`` in [a, b] by Brent's method.
 
     A line-for-line port of scipy's ``optimize/Zeros/brentq.c``, with the
-    NaN check of ``scipy.optimize.brentq``: for the same arguments it calls
-    ``f`` at the same floats and returns the same root, within
-    ``xtol + rtol * |root|``.
+    NaN check of ``scipy.optimize.brentq`` and its default ``rtol`` and
+    ``maxiter``: for the same ``xtol`` it calls ``f`` at the same floats and
+    returns the same root, within ``xtol + 4 * eps * |root|``.
 
     Raises
     ------
     ValueError
         If f(a) and f(b) have the same sign, or ``f`` returns NaN.
     RuntimeError
-        If ``maxiter`` iterations do not converge.
+        If 100 iterations do not converge.
     """
 
     def call(x):
@@ -385,14 +390,14 @@ def brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -415,7 +420,7 @@ def brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def equatorial_roots(spec: PotentialSpec) -> list:

@@ -377,17 +377,9 @@ def test_brentq_calls_f_where_scipy_does(case, xtol):
     assert runs[0] == runs[1]
 
 
-def test_brentq_rtol_and_maxiter_follow_scipy():
-    f, a, b = BRENT_CASES["shallow_root"]
-    for kwargs in ({"rtol": 1e-6}, {"rtol": 1e-3, "maxiter": 500}):
-        assert repr(brentq(f, a, b, 1e-12, **kwargs)) == repr(
-            scipy_brentq(f, a, b, xtol=1e-12, **kwargs)
-        )
-
-
-def _error(solver, *args, **kwargs):
+def _error(solver, f, a, b):
     with pytest.raises((ValueError, RuntimeError)) as info:
-        solver(*args, **kwargs)
+        solver(f, a, b, xtol=1e-12)
     return type(info.value), str(info.value)
 
 
@@ -397,13 +389,11 @@ def test_brentq_errors_are_scipys():
     # near a ninth-order root f is rounding noise, and the steps stall
     flat_root = (lambda x: (x - 0.3) ** 9, 0.0, 1.0)
     cases = [
-        (same_sign, {}, ValueError, "f(a) and f(b) must have different signs"),
-        (nan_inside, {}, ValueError, "The function value at x=0.5 is NaN"),
-        (flat_root, {}, RuntimeError, "Failed to converge after 100 iterations."),
-        (BRENT_CASES["cubic"], {"maxiter": 3}, RuntimeError,
-         "Failed to converge after 3 iterations."),
+        (same_sign, ValueError, "f(a) and f(b) must have different signs"),
+        (nan_inside, ValueError, "The function value at x=0.5 is NaN"),
+        (flat_root, RuntimeError, "Failed to converge after 100 iterations."),
     ]
-    for (f, a, b), kwargs, kind, message in cases:
-        ours = _error(brentq, f, a, b, 1e-12, **kwargs)
-        assert ours == _error(scipy_brentq, f, a, b, xtol=1e-12, **kwargs)
+    for (f, a, b), kind, message in cases:
+        ours = _error(brentq, f, a, b)
+        assert ours == _error(scipy_brentq, f, a, b)
         assert ours[0] is kind and ours[1].startswith(message)
