@@ -37,13 +37,12 @@ from .errors import (
     NoRootError,
     RangeError,
 )
-from .model import PreparedHamiltonian, brentq, critical_energy
+from .model import PreparedHamiltonian, Resonance, brentq, critical_energy
 from .normform import equatorial_energy_series, extract_omega2_squared, normalize
 
 __all__ = [
     "RemainderNormTable",
     "AsymptoticFit",
-    "BifurcationResult",
     "RemainderProfile",
     "capture_remainder_profile",
     "optimal_order_scan",
@@ -150,11 +149,10 @@ def _norm_scales(state):
     built at; omega2sq is the series of the nonresonant normal form, or the
     constant (omega2*)^2 of the resonant one.
     """
-    prepared = state.prepared
-    if state.mode == "resonant":
-        res = prepared.resonance
+    res = state.prepared.resonance
+    if res is not None:
         return res.omega1, functools.partial(_constant_value, res.omega2**2)
-    return prepared.omega10, _power_series(extract_omega2_squared(state))
+    return state.prepared.omega10, _power_series(extract_omega2_squared(state))
 
 
 def capture_remainder_profile(
@@ -271,18 +269,6 @@ def optimal_order_scan(
     return table, fit
 
 
-@dataclass(frozen=True)
-class BifurcationResult:
-    """An m1:m2 resonance of the equatorial orbit located on the series."""
-
-    m1: int
-    m2: int
-    I1_star: float
-    omega1: float
-    omega2: float
-    energy: float
-
-
 #: the action ceiling's ladder 1e-3 * 1.05^k, formed by repeated
 #: multiplication and long enough to pass 1e3
 _CEILING_LADDER = np.cumprod(np.r_[1e-3, np.full(300, 1.05)])
@@ -340,7 +326,7 @@ def _solve_resonance(energy_series, omega2_series, m1, m2, e_crit):
         )
     i = int(flips[0])
     I_star = brentq(detune, grid[i], grid[i + 1], xtol=1e-14)
-    return BifurcationResult(
+    return Resonance(
         m1=int(m1),
         m2=int(m2),
         I1_star=float(I_star),
@@ -350,7 +336,7 @@ def _solve_resonance(energy_series, omega2_series, m1, m2, e_crit):
     )
 
 
-def bifurcation_energy(state, m1: int, m2: int) -> BifurcationResult:
+def bifurcation_energy(state, m1: int, m2: int) -> Resonance:
     """Action, frequencies, and energy of the m1:m2 equatorial resonance.
 
     Solves m2 * omega_1,eq(I1) = m1 * omega_2(I1) on the series of a

@@ -114,6 +114,8 @@ class RunConfig:
     tol: float = 1e-11
 
     def validate(self):
+        if self.subcommand not in _COMMANDS:
+            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
         if self.mode not in ("nonres", "res"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "res" and (self.m1 < 1 or self.m2 < 1):
@@ -144,6 +146,11 @@ class RunConfig:
             raise ConfigError("--grid-n must be >= 16")
         if self.n_crossings < 0:
             raise ConfigError("--n-crossings must be >= 0")
+        if not self.tol > 0.0:
+            raise ConfigError(f"--tol must be positive, got {self.tol}")
+        for m1, m2 in self.pairs:
+            if m1 < 1 or m2 < 1:
+                raise ConfigError(f"--pair {m1}:{m2} needs m1 >= 1 and m2 >= 1")
         return self
 
     @property
@@ -255,9 +262,11 @@ def _load_seeds(config: RunConfig):
         if not line:
             continue
         parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ConfigError(f"seed line {line!r} is not 'z p_z'")
-        seeds.append((float(parts[0]), float(parts[1])))
+        try:
+            z, p_z = map(float, parts)
+        except ValueError:
+            raise ConfigError(f"seed line {line!r} is not 'z p_z'") from None
+        seeds.append((z, p_z))
     return seeds
 
 
@@ -291,20 +300,11 @@ def _prepare(config: RunConfig, spec):
     The resonant mode chains a nonresonant locator run: normalize to
     ``locator_order``, solve the resonance condition on its series, and
     detune the quadratic at the resulting (I1*, omega1*, omega2*).
-    Returns (prepared, bifurcation-or-None).
     """
     if config.mode == "nonres":
-        return complexify_nonresonant(spec), None
-    bif = bifurcation_energy(_locator(config, spec), config.m1, config.m2)
-    prepared = prepare_resonant(
-        spec,
-        config.m1,
-        config.m2,
-        I1_star=bif.I1_star,
-        omega1=bif.omega1,
-        omega2=bif.omega2,
-    )
-    return prepared, bif
+        return complexify_nonresonant(spec)
+    resonance = bifurcation_energy(_locator(config, spec), config.m1, config.m2)
+    return prepare_resonant(spec, resonance)
 
 
 def _normal_form(config: RunConfig, prepared):
@@ -313,23 +313,12 @@ def _normal_form(config: RunConfig, prepared):
     return normalize(prepared, r_max=config.order, r_trunc=config.r_trunc)
 
 
-def _bifurcation_dict(bif):
-    return {
-        "m1": bif.m1,
-        "m2": bif.m2,
-        "I1_star": bif.I1_star,
-        "omega1": bif.omega1,
-        "omega2": bif.omega2,
-        "energy": bif.energy,
-    }
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_normalize(config: RunConfig, out: Path, config_hash: str):
     spec = _load_potential(config)
-    prepared, bif = _prepare(config, spec)
+    prepared = _prepare(config, spec)
     state = _normal_form(config, prepared)
     meta = {
         "mode": prepared.mode,
@@ -337,8 +326,8 @@ def cmd_normalize(config: RunConfig, out: Path, config_hash: str):
         "trunc": state.r_trunc,
         "omega10": prepared.omega10,
     }
-    if bif is not None:
-        meta["resonance"] = _bifurcation_dict(bif)
+    if prepared.resonance is not None:
+        meta["resonance"] = dataclasses.asdict(prepared.resonance)
     _write_json(out / "normalform.json", dict(meta, terms=state.normal_form), config_hash)
     _write_json(
         out / "generators.json", dict(meta, generators=state.generators), config_hash
@@ -352,8 +341,7 @@ def cmd_section(config: RunConfig, out: Path, config_hash: str):
     if not seeds:
         print("seed file is empty; nothing to integrate", file=sys.stderr)
         return
-    prepared, _bif = _prepare(config, spec)
-    state = _normal_form(config, prepared)
+    state = _normal_form(config, _prepare(config, spec))
     integral = back_transform(state)
     for E in config.energies:
         tag = f"E{E:g}"
@@ -409,7 +397,7 @@ def _field_rows(field):
 
 def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
     spec = _load_potential(config)
-    prepared, bif = _prepare(config, spec)
+    prepared = _prepare(config, spec)
     profile = capture_remainder_profile(prepared, N=config.order_cap)
     grid = config.delta_e if config.delta_e is not None else DEFAULT_DELTA_E_GRID
     rows = []
@@ -449,8 +437,8 @@ def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
     )
     if fits:
         payload = {"mode": prepared.mode, "fits": fits}
-        if bif is not None:
-            payload["resonance"] = _bifurcation_dict(bif)
+        if prepared.resonance is not None:
+            payload["resonance"] = dataclasses.asdict(prepared.resonance)
         _write_json(out / "fits.json", payload, config_hash)
 
 
@@ -461,8 +449,8 @@ def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str):
     # every pair scans the same energy grid, so each trace is computed once
     traces = {}
     for m1, m2 in config.pairs:
-        bif = bifurcation_energy(locator, m1, m2)
-        entry = dict(_bifurcation_dict(bif), order=locator.r)
+        resonance = bifurcation_energy(locator, m1, m2)
+        entry = dict(dataclasses.asdict(resonance), order=locator.r)
         if config.numeric:
             entry["numeric_energy"] = numerical_bifurcation_energy(
                 m1, m2, potential=spec, tol=config.tol, traces=traces
@@ -649,17 +637,59 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**values)
 
 
+def _is_int(value):
+    # bool is an int to isinstance, and only a bool field takes one
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+#: the JSON values a config file may hold for a field of each type, and for
+#: each item of each tuple field
+_JSON_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "energies": _is_number,
+    "delta_e": _is_number,
+    "pairs": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+}
+
+
+def _json_fits(key, value, kind):
+    """Whether a config file's ``value`` fits field ``key`` of type ``kind``."""
+    if value is None:
+        return kind.endswith(" | None")
+    if kind.startswith("tuple"):
+        return isinstance(value, list) and all(map(_JSON_CHECKS[key], value))
+    return _JSON_CHECKS[kind.removesuffix(" | None")](value)
+
+
 def _config_from_file(path: str) -> RunConfig:
-    raw = json.loads(Path(path).read_text())
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(raw) - fields
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} holds a JSON {type(raw).__name__}, not an object")
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("energies", "delta_e", "pairs"):
-        if raw.get(key) is not None:
-            raw[key] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in raw[key]
+    if "subcommand" not in raw:
+        raise ConfigError("config key 'subcommand' is missing")
+    for key, value in raw.items():
+        if not _json_fits(key, value, kinds[key]):
+            raise ConfigError(
+                f"config key {key!r} holds {json.dumps(value)}, not a {kinds[key]}"
             )
+        if isinstance(value, list):
+            raw[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
     return RunConfig(**raw)
 
 

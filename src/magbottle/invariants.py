@@ -56,9 +56,12 @@ class FormalIntegral:
     """
 
     poly: CanonicalPolynomial
-    mode: str
     order: int
     resonance: Resonance | None = None
+
+    @property
+    def mode(self):
+        return "nonresonant" if self.resonance is None else "resonant"
 
     def evaluate(self, rho, z, p_rho, p_z):
         """Value of the integral at phase-space points (broadcasting)."""
@@ -147,12 +150,11 @@ def back_transform(state) -> FormalIntegral:
     """
     state.require_full("back_transform")
     prepared = state.prepared
-    if state.mode == "resonant":
-        res = prepared.resonance
+    res = prepared.resonance
+    if res is not None:
         seed = [((1, 1, 0, 0), 1j * res.m1, 0), ((0, 0, 1, 1), 1j * res.m2, 0)]
         transverse = inverse_complexification(res.omega2)
     else:
-        res = None
         seed = [((1, 1, 0, 0), 1j, 0)]
         transverse = None
     phi = CanonicalPolynomial.from_terms(seed, trunc_order=max(state.r, 1))
@@ -170,9 +172,7 @@ def back_transform(state) -> FormalIntegral:
             f"coefficient of {tuple(int(e[i]) for e in exponents)} has "
             f"imaginary part {coeffs.imag[i]:.3e}"
         )
-    return FormalIntegral(
-        poly=real_phi.real_part(), mode=state.mode, order=state.r, resonance=res
-    )
+    return FormalIntegral(poly=real_phi.real_part(), order=state.r, resonance=res)
 
 
 def _section_table(integral: FormalIntegral):

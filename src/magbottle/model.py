@@ -462,10 +462,11 @@ def critical_energy(spec: PotentialSpec) -> float:
 
 @dataclass(frozen=True)
 class Resonance:
-    """Parameters of an m1:m2 resonance of the equatorial orbit.
+    """An m1:m2 resonance of the equatorial orbit.
 
     ``I1_star`` is the action of the resonant equatorial orbit, ``omega1``
-    and ``omega2`` the in-plane and transverse frequencies there.
+    and ``omega2`` the in-plane and transverse frequencies there, and
+    ``energy`` its equatorial energy.
     """
 
     m1: int
@@ -473,23 +474,31 @@ class Resonance:
     I1_star: float
     omega1: float
     omega2: float
+    energy: float
 
 
 @dataclass(frozen=True)
 class PreparedHamiltonian:
-    """A complexified, book-keeping-graded Hamiltonian ready to normalize."""
+    """A complexified, book-keeping-graded Hamiltonian ready to normalize.
+
+    ``resonance`` is None for the nonresonant form and the resonance the
+    form is built at otherwise; it is the only record of the mode.
+    """
 
     poly: CanonicalPolynomial
-    mode: str
     omega10: float
     potential: PotentialSpec
     resonance: Resonance | None = None
 
     @property
+    def mode(self):
+        return "nonresonant" if self.resonance is None else "resonant"
+
+    @property
     def complex_pairs(self):
         """The pairs written in complex variables: (q1, p1), index 0, in
         both modes, and (q2, p2), index 1, in resonant mode only."""
-        return (0,) if self.mode == "nonresonant" else (0, 1)
+        return (0,) if self.resonance is None else (0, 1)
 
 
 def _validated_frequency(spec: PotentialSpec) -> float:
@@ -549,19 +558,10 @@ def complexify_nonresonant(spec: PotentialSpec) -> PreparedHamiltonian:
         for j, coeff in _rho_binomial(a, scale):
             terms.append(((a - j, j, b, 0), coeff, bk))
     poly = CanonicalPolynomial.from_terms(terms, trunc_order=trunc)
-    return PreparedHamiltonian(
-        poly=poly, mode="nonresonant", omega10=omega10, potential=spec
-    )
+    return PreparedHamiltonian(poly=poly, omega10=omega10, potential=spec)
 
 
-def prepare_resonant(
-    spec: PotentialSpec,
-    m1: int,
-    m2: int,
-    I1_star: float,
-    omega1: float,
-    omega2: float,
-) -> PreparedHamiltonian:
+def prepare_resonant(spec: PotentialSpec, resonance: Resonance) -> PreparedHamiltonian:
     """Complexify both degrees of freedom around an m1:m2 resonance.
 
     The (z, p_z) pair is complexified at the transverse frequency
@@ -571,7 +571,17 @@ def prepare_resonant(
     book-keeping order 1 alongside the degree-4 block, so at order r the
     polynomial degrees 2, 4, ..., 2r+2 coexist.  Summing all orders (the
     book-keeping parameter set to 1) recovers the original Hamiltonian.
+
+    Raises
+    ------
+    ValueError
+        If m1 or m2 is below 1.
+    InvalidFrequencyError
+        If omega1 or omega2 is not positive.
     """
+    if resonance.m1 < 1 or resonance.m2 < 1:
+        raise ValueError("resonance indices must be positive integers")
+    omega1, omega2 = resonance.omega1, resonance.omega2
     if omega2 <= 0.0 or omega1 <= 0.0:
         raise InvalidFrequencyError(
             f"resonant frequencies must be positive, got omega1={omega1}, "
@@ -598,11 +608,5 @@ def prepare_resonant(
                 terms.append(((a - j1, j1, b - j2, j2), c1 * c2, bk))
     poly = CanonicalPolynomial.from_terms(terms, trunc_order=trunc)
     return PreparedHamiltonian(
-        poly=poly,
-        mode="resonant",
-        omega10=omega10,
-        potential=spec,
-        resonance=Resonance(
-            m1=int(m1), m2=int(m2), I1_star=I1_star, omega1=omega1, omega2=omega2
-        ),
+        poly=poly, omega10=omega10, potential=spec, resonance=resonance
     )

@@ -7,10 +7,12 @@ and pushes the Hamiltonian through ``exp(L_chi_r)``.  After ``r_max`` steps
 the orders 0..r_max hold the normal form Z and the higher orders hold the
 remainder.
 
-Two kernel sets are supported: the nonresonant set built on the nilpotent
-quadratic part ``i w10 q1 p1 + p2^2/2`` (bidiagonal block solve by backward
-substitution) and the resonant set for an m1:m2 periodic-orbit resonance
-(diagonal per-monomial solve with a small-divisor guard).
+One predicate, :func:`kernel_mask`, selects the kernel from the
+prepared Hamiltonian's resonance.  With no resonance it is the
+nonresonant set built on the nilpotent quadratic part
+``i w10 q1 p1 + p2^2/2`` (bidiagonal block solve by backward
+substitution); with an m1:m2 periodic-orbit resonance it is the resonant
+set (diagonal per-monomial solve with a small-divisor guard).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     OrderOverflowError,
     SmallDivisorError,
 )
-from .model import PreparedHamiltonian
+from .model import PreparedHamiltonian, Resonance
 from .polyalg import (
     _IPOW,
     CanonicalPolynomial,
@@ -37,8 +39,7 @@ from .polyalg import (
 )
 
 __all__ = [
-    "DEFAULT_TRUNC",
-    "KernelSet",
+    "kernel_mask",
     "NormalizationState",
     "solve_homological_nonresonant",
     "solve_homological_resonant",
@@ -46,8 +47,6 @@ __all__ = [
     "extract_omega2_squared",
     "equatorial_energy_series",
 ]
-
-DEFAULT_TRUNC = 20
 
 #: absolute tolerance on the consistency entry of a k=l block
 BLOCK_TOL = 1e-12
@@ -57,66 +56,27 @@ DIVISOR_FLOOR = 1e-9
 REALITY_TOL = 1e-12
 
 
-class KernelSet:
-    """Predicate selecting the monomials kept in the normal form.
+def kernel_mask(resonance: Resonance | None, k1, l1, k2, l2):
+    """The kernel predicate, over exponent arrays or on one term's exponents.
 
-    The nonresonant variant keeps terms with k1 = l1 that either carry no
-    p2 (when k1 + l1 > 0) or are exactly p2^2 (when k1 + l1 = 0).  The
-    resonant variant for an m1:m2 resonance keeps terms with
+    Without a resonance the kernel holds the terms with k1 = l1 that
+    either carry no p2 (when k1 + l1 > 0) or are exactly p2^2 (when
+    k1 + l1 = 0).  For an m1:m2 resonance it holds the terms with
     (k1 - l1) m1 + (k2 - l2) m2 = 0.
     """
-
-    __slots__ = ("variant", "m1", "m2")
-
-    def __init__(self, variant, m1=0, m2=0):
-        if variant not in ("nonresonant", "resonant"):
-            raise ValueError(f"unknown kernel variant {variant!r}")
-        self.variant = variant
-        self.m1 = int(m1)
-        self.m2 = int(m2)
-
-    @classmethod
-    def nonresonant(cls):
-        return cls("nonresonant")
-
-    @classmethod
-    def resonant(cls, m1, m2):
-        if m1 <= 0 or m2 <= 0:
-            raise ValueError("resonance indices must be positive integers")
-        return cls("resonant", m1, m2)
-
-    @classmethod
-    def for_prepared(cls, prepared):
-        """The kernel set matching the mode of a prepared Hamiltonian."""
-        if prepared.mode == "nonresonant":
-            return cls.nonresonant()
-        res = prepared.resonance
-        return cls.resonant(res.m1, res.m2)
-
-    def mask(self, k1, l1, k2, l2):
-        """Vectorized predicate over exponent arrays."""
-        if self.variant == "nonresonant":
-            trans = (k1 + l1 > 0) & (l2 == 0)
-            axis = (k1 + l1 == 0) & (k2 == 0) & (l2 == 2)
-            return (k1 == l1) & (trans | axis)
-        return (k1 - l1) * self.m1 + (k2 - l2) * self.m2 == 0
-
-    def __call__(self, key):
-        """The predicate on one exponent tuple (k1, l1, k2, l2)."""
-        return bool(self.mask(*key))
-
-    def __repr__(self):
-        if self.variant == "nonresonant":
-            return "KernelSet.nonresonant()"
-        return f"KernelSet.resonant({self.m1}, {self.m2})"
+    if resonance is None:
+        trans = (k1 + l1 > 0) & (l2 == 0)
+        axis = (k1 + l1 == 0) & (k2 == 0) & (l2 == 2)
+        return (k1 == l1) & (trans | axis)
+    return (k1 - l1) * resonance.m1 + (k2 - l2) * resonance.m2 == 0
 
 
-def _partition(poly, kernel):
+def _partition(poly, resonance):
     """Split ``poly`` into (kernel part, complement) preserving truncation."""
     if poly.nterms == 0:
         return poly, poly
     k1, l1, k2, l2, _, _ = poly.term_arrays()
-    mask = kernel.mask(k1, l1, k2, l2)
+    mask = kernel_mask(resonance, k1, l1, k2, l2)
     inside = poly._same_bounds(poly._keys[mask], poly._coeffs[mask])
     outside = poly._same_bounds(poly._keys[~mask], poly._coeffs[~mask])
     return inside, outside
@@ -181,11 +141,7 @@ def solve_homological_nonresonant(
 
 
 def solve_homological_resonant(
-    htilde: CanonicalPolynomial,
-    omega1: float,
-    omega2: float,
-    m1: int,
-    m2: int,
+    htilde: CanonicalPolynomial, resonance: Resonance
 ) -> CanonicalPolynomial:
     """Generator chi_r with ``{Z_0, chi_r} = -Htilde_r`` in resonant mode.
 
@@ -194,6 +150,8 @@ def solve_homological_resonant(
 
     Raises
     ------
+    ValueError
+        If a term inside the resonance's kernel reaches the solver.
     SmallDivisorError
         If a divisor magnitude falls below ``DIVISOR_FLOOR``, reporting the
         offending exponent key.
@@ -201,13 +159,12 @@ def solve_homological_resonant(
     if htilde.nterms == 0:
         return htilde
     k1, l1, k2, l2, _, coeffs = htilde.term_arrays()
-    dk1 = k1 - l1
-    dk2 = k2 - l2
-    if np.any(dk1 * m1 + dk2 * m2 == 0):
+    if np.any(kernel_mask(resonance, k1, l1, k2, l2)):
         raise ValueError(
-            f"terms inside the {m1}:{m2} kernel must not reach the resonant solver"
+            f"terms inside the {resonance.m1}:{resonance.m2} kernel must not "
+            "reach the resonant solver"
         )
-    divisor = dk1 * omega1 + dk2 * omega2
+    divisor = (k1 - l1) * resonance.omega1 + (k2 - l2) * resonance.omega2
     small = np.abs(divisor) < DIVISOR_FLOOR
     if np.any(small):
         i = int(np.argmax(small))
@@ -244,10 +201,6 @@ class NormalizationState:
     def mode(self):
         return self.prepared.mode
 
-    @property
-    def kernel(self):
-        return KernelSet.for_prepared(self.prepared)
-
     def require_full(self, consumer):
         """Raise ModeError if the state was normalized under a transverse cap.
 
@@ -278,7 +231,7 @@ class NormalizationState:
 def normalize(
     prepared: PreparedHamiltonian,
     r_max: int,
-    r_trunc: int = DEFAULT_TRUNC,
+    r_trunc: int,
     step_callback=None,
     transverse_cap: int | None = None,
 ) -> NormalizationState:
@@ -336,7 +289,7 @@ def normalize(
             f"prepared Hamiltonian differs from its conjugate on pairs {pairs} "
             f"by {gap:.3e} (largest coefficient {scale:.3e})"
         )
-    kernel = KernelSet.for_prepared(prepared)
+    resonance = prepared.resonance
     ham = prepared.poly.copy(trunc_order=r_trunc, transverse_cap=transverse_cap)
     z0 = ham.bk_part(0)
     state = NormalizationState(
@@ -344,18 +297,12 @@ def normalize(
     )
     for r in range(1, r_max + 1):
         order_part = ham.bk_part(r)
-        inside, htilde = _partition(order_part, kernel)
+        inside, htilde = _partition(order_part, resonance)
         if htilde.nterms:
-            if prepared.mode == "nonresonant":
+            if resonance is None:
                 chi = solve_homological_nonresonant(htilde, prepared.omega10, r)
             else:
-                chi = solve_homological_resonant(
-                    htilde,
-                    prepared.resonance.omega1,
-                    prepared.resonance.omega2,
-                    prepared.resonance.m1,
-                    prepared.resonance.m2,
-                )
+                chi = solve_homological_resonant(htilde, resonance)
             residual = poisson_bracket(z0, chi, pairs) + htilde
             state.residuals.append((residual.max_abs(), htilde.max_abs()))
             ham = lie_transform(ham, chi, complex_pairs=pairs)

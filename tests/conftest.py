@@ -71,14 +71,7 @@ def bif21(nf8):
 
 @pytest.fixture(scope="session")
 def res21_prep(builtin, bif21):
-    return prepare_resonant(
-        builtin,
-        2,
-        1,
-        I1_star=bif21.I1_star,
-        omega1=bif21.omega1,
-        omega2=bif21.omega2,
-    )
+    return prepare_resonant(builtin, bif21)
 
 
 @pytest.fixture(scope="session")

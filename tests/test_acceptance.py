@@ -56,6 +56,7 @@ from magbottle.invariants import back_transform, section_levels
 from magbottle.normform import (
     equatorial_energy_series,
     extract_omega2_squared,
+    kernel_mask,
     normalize,
 )
 from magbottle.polyalg import (
@@ -344,9 +345,8 @@ def test_criterion_7_property_suites(nf8, res21_nf8, drift_orbit, capsys):
         )
 
     def purity_ok(state):
-        kern = state.kernel
         return all(
-            kern(key)
+            kernel_mask(state.prepared.resonance, *key)
             for s in range(1, state.r + 1)
             for key, _c, _bk in state.hamiltonian.bk_part(s).term_items()
         )

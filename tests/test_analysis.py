@@ -9,7 +9,6 @@ import pytest
 
 from magbottle.analysis import (
     DEFAULT_DELTA_E_GRID,
-    BifurcationResult,
     RemainderProfile,
     _aggregate_slice,
     _norm_scales,
@@ -27,7 +26,7 @@ from magbottle.errors import (
     RangeError,
 )
 from magbottle.cli import _series_state
-from magbottle.model import build_builtin_model, critical_energy
+from magbottle.model import Resonance, build_builtin_model, critical_energy
 from magbottle.normform import equatorial_energy_series, extract_omega2_squared
 
 from conftest import jittered_builtin
@@ -241,7 +240,7 @@ def test_array_grid_equals_the_scalar_loop(jittered):
         )
     for energy, omega2, m1, m2 in cases:
         got = _solve_resonance(energy, omega2, m1, m2, e_crit)
-        want = BifurcationResult(
+        want = Resonance(
             *scalar_grid_resonance(energy, omega2, m1, m2, e_crit)
         )
         assert got == want

@@ -239,12 +239,28 @@ def test_oversized_potential_exponent_is_config_error(tmp_path):
     assert "UnsupportedPotentialError" in proc.stderr
 
 
-def test_invalid_option_value_is_config_error(tmp_path):
-    proc = run_cli(
-        "asymptotics", "--order-cap", 1, "--out", tmp_path / "run", check=False
-    )
-    assert proc.returncode == 2
-    assert "ConfigError" in proc.stderr
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["asymptotics", "--order-cap", "1"], "--order-cap must be >= 2",
+                     id="order-cap"),
+        # --tol 0 divided by zero, a negative --tol ran as its absolute
+        # value, and a zero pair index found no root (all exit 3)
+        pytest.param(["section", "--tol", "0"], "--tol must be positive", id="tol-0"),
+        pytest.param(["section", "--tol=-1e-11"], "--tol must be positive",
+                     id="tol-negative"),
+        pytest.param(["bifurcation", "--pair", "0:1"], "--pair 0:1 needs m1 >= 1",
+                     id="pair-0:1"),
+        pytest.param(["bifurcation", "--pair", "3:0"], "--pair 3:0 needs m1 >= 1",
+                     id="pair-3:0"),
+    ],
+)
+def test_invalid_option_value_is_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError") and message in err
+    assert not out.exists()
 
 
 def test_negative_crossing_count_is_config_error(tmp_path):
@@ -437,3 +453,84 @@ def test_tol_reaches_the_monodromy_bisection(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "numerical_bifurcation_energy", bisection)
     assert cli.main(argv + ["--tol", "1e-9", "--out", str(tmp_path / "run")]) == 0
     assert seen == [1e-9]
+
+
+def test_non_numeric_seed_line_is_config_error(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0.0 0.05\na b\n")
+    argv = ["section", "--seed-file", str(seeds), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError") and "'a b'" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read"),
+        ("{not json", "is not JSON"),
+        ('["normalize"]', "holds a JSON list, not an object"),
+        ('{"order": 5}', "'subcommand' is missing"),
+        ('{"subcommand": "normalise"}', "unknown subcommand 'normalise'"),
+        ('{"subcommand": "normalize", "order": "5"}', "'order' holds \"5\""),
+        ('{"subcommand": "normalize", "order": 5.0}', "'order' holds 5.0"),
+        ('{"subcommand": "normalize", "mode": null}', "'mode' holds null"),
+        ('{"subcommand": "section", "numeric": 1}', "'numeric' holds 1"),
+        ('{"subcommand": "section", "tol": true}', "'tol' holds true"),
+        ('{"subcommand": "section", "energies": 0.1}', "'energies' holds 0.1"),
+        ('{"subcommand": "section", "energies": ["0.1"]}', "'energies' holds"),
+        ('{"subcommand": "bifurcation", "pairs": [[2, 1, 1]]}', "'pairs' holds"),
+    ],
+    ids=["directory", "not-json", "list", "no-subcommand", "unknown-subcommand",
+         "order-str", "order-float", "mode-null", "numeric-int", "tol-bool",
+         "energies-scalar", "energies-str", "pairs-triple"],
+)
+def test_malformed_config_file_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "run_config.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError") and message in err
+
+
+def test_config_file_with_null_and_integer_values_loads(tmp_path):
+    # None is valid for the optional fields, and a whole number for a float
+    config = RunConfig("asymptotics", delta_e=(1e-3,), beta=0.5)
+    raw = dict(json.loads(config.canonical_json()), potential=None, beta=1)
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps(raw))
+    assert cli._config_from_file(str(path)) == dataclasses.replace(config, beta=1)
+
+
+RESONANCE_KEYS = {"m1", "m2", "I1_star", "omega1", "omega2", "energy"}
+
+
+def test_resonance_block_keeps_its_keys(tmp_path):
+    # the artifacts write a resonance as the dataclass's fields: a field
+    # added to it would change every resonant artifact
+    common = ["--mode", "res", "--locator-order", "6"]
+    jobs = {
+        "normalize": ["normalize", *common, "--order", "2"],
+        "asymptotics": ["asymptotics", *common, "--order-cap", "6",
+                        "--delta-e", "5e-4", "--delta-e", "1e-3"],
+        "bifurcation": ["bifurcation", "--pair", "2:1", "--no-numeric",
+                        "--locator-order", "6"],
+    }
+    for name, argv in jobs.items():
+        assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+
+    def read(name, artifact):
+        return json.loads((tmp_path / name / artifact).read_text())
+
+    (entry,) = read("bifurcation", "bifurcations.json")["bifurcations"]
+    blocks = [
+        read("normalize", "normalform.json")["resonance"],
+        read("asymptotics", "fits.json")["resonance"],
+        {k: v for k, v in entry.items() if k != "order"},
+    ]
+    for block in blocks:
+        assert set(block) == RESONANCE_KEYS
+    assert blocks[0] == blocks[1]

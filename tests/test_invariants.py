@@ -18,7 +18,7 @@ from magbottle.invariants import (
     level_set_components,
     section_levels,
 )
-from magbottle.model import prepare_resonant
+from magbottle.model import Resonance, prepare_resonant
 from magbottle.normform import normalize
 from magbottle.polyalg import (
     CanonicalPolynomial,
@@ -187,7 +187,7 @@ def test_section_field_matches_per_term_oracle(which, E, grid, builtin, request)
 
 def _integral(terms):
     poly = CanonicalPolynomial.from_terms(terms, trunc_order=2)
-    return FormalIntegral(poly=poly, mode="nonresonant", order=1)
+    return FormalIntegral(poly=poly, order=1)
 
 
 @pytest.mark.parametrize("terms", [[], [((2, 0, 1, 1), 1.5, 0)]])
@@ -243,10 +243,7 @@ def test_island_counts_contrast_2to1(res21_nf8, nf8):
 
 @pytest.fixture(scope="module")
 def res31_nf8(builtin, nf8):
-    bif = bifurcation_energy(nf8, 3, 1)
-    prepared = prepare_resonant(
-        builtin, 3, 1, I1_star=bif.I1_star, omega1=bif.omega1, omega2=bif.omega2
-    )
+    prepared = prepare_resonant(builtin, bifurcation_energy(nf8, 3, 1))
     return normalize(prepared, r_max=8, r_trunc=10)
 
 
@@ -299,9 +296,8 @@ def test_label8_numbers_components_as_ndimage(name):
 
 def test_resonant_detuning_quadratic(builtin):
     omega1, omega2 = 0.93, 0.465
-    prepared = prepare_resonant(
-        builtin, 2, 1, I1_star=0.25, omega1=omega1, omega2=omega2
-    )
+    resonance = Resonance(2, 1, 0.25, omega1=omega1, omega2=omega2, energy=0.23)
+    prepared = prepare_resonant(builtin, resonance)
     detune = {
         tuple(key): complex(c)
         for key, c, bk in prepared.poly.term_items()

@@ -15,6 +15,7 @@ from magbottle.errors import (
 )
 from magbottle.model import (
     PotentialSpec,
+    Resonance,
     brentq,
     build_builtin_model,
     complexify_nonresonant,
@@ -271,10 +272,14 @@ OMEGA1 = 0.9
 OMEGA2 = 0.45
 
 
+def resonance(omega1=OMEGA1, omega2=OMEGA2):
+    """The 2:1 resonance at I1* = 0.2; its energy is a stand-in that the
+    preparation does not read."""
+    return Resonance(2, 1, I1_star=0.2, omega1=omega1, omega2=omega2, energy=0.18)
+
+
 def resonant_builtin():
-    return prepare_resonant(
-        build_builtin_model(), 2, 1, I1_star=0.2, omega1=OMEGA1, omega2=OMEGA2
-    )
+    return prepare_resonant(build_builtin_model(), resonance())
 
 
 def test_resonant_order_zero_part():
@@ -304,9 +309,9 @@ def test_resonant_degrees_coexist_per_order():
 def test_invalid_frequency_raises():
     V = build_builtin_model()
     with pytest.raises(InvalidFrequencyError):
-        prepare_resonant(V, 2, 1, 0.2, OMEGA1, 0.0)
+        prepare_resonant(V, resonance(omega2=0.0))
     with pytest.raises(InvalidFrequencyError):
-        prepare_resonant(V, 2, 1, 0.2, -0.9, OMEGA2)
+        prepare_resonant(V, resonance(omega1=-0.9))
 
 
 def test_resonant_sum_matches_z_complexified_nonresonant():

@@ -16,15 +16,16 @@ from magbottle.errors import (
 )
 from magbottle.analysis import bifurcation_energy
 from magbottle.model import (
+    Resonance,
     build_builtin_model,
     complexify_nonresonant,
     parse_potential,
     prepare_resonant,
 )
 from magbottle.normform import (
-    KernelSet,
     equatorial_energy_series,
     extract_omega2_squared,
+    kernel_mask,
     normalize,
     solve_homological_nonresonant,
     solve_homological_resonant,
@@ -45,11 +46,23 @@ def make(terms, trunc=10, cap=None):
     return CanonicalPolynomial.from_terms(terms, trunc_order=trunc, degree_cap=cap)
 
 
+def resonance(m1, m2, omega1, omega2, I1_star=0.25):
+    """A resonance built by hand; its energy is the leading term I1_star
+    omega1 of the equatorial energy, which no normalization reads."""
+    return Resonance(m1, m2, I1_star, omega1, omega2, energy=I1_star * omega1)
+
+
+#: the 2:1 resonance the resonant normalization tests are built at
+RES21 = resonance(2, 1, omega1=0.93, omega2=0.465)
+
+
 # ------------------------------------------------------------------- kernels
 
 
 def test_nonresonant_kernel_predicate():
-    kern = KernelSet.nonresonant()
+    def kern(key):
+        return kernel_mask(None, *key)
+
     assert kern((0, 0, 0, 2))  # p2^2
     assert kern((1, 1, 0, 0))  # q1 p1
     assert kern((2, 2, 4, 0))  # (q1 p1)^2 q2^4
@@ -60,24 +73,26 @@ def test_nonresonant_kernel_predicate():
 
 
 def test_resonant_kernel_predicate():
-    kern = KernelSet.resonant(2, 1)
+    def kern(key):
+        return kernel_mask(RES21, *key)
+
     assert kern((1, 1, 3, 3))
     assert kern((1, 0, 0, 2))  # (1-0)*2 + (0-2)*1 = 0
     assert kern((0, 1, 2, 0))
     assert not kern((1, 0, 2, 0))
     assert not kern((0, 0, 1, 0))
     with pytest.raises(ValueError):
-        KernelSet.resonant(0, 1)
+        prepare_resonant(build_builtin_model(), resonance(0, 1, 0.93, 0.465))
 
 
 def test_kernel_mask_matches_scalar_predicate():
-    kern = KernelSet.resonant(3, 1)
     keys = [(k1, l1, k2, l2) for k1 in range(3) for l1 in range(3)
             for k2 in range(4) for l2 in range(4)]
     arrays = tuple(np.array(col) for col in zip(*keys))
-    mask = kern.mask(*arrays)
-    for key, bit in zip(keys, mask):
-        assert bool(bit) == kern(key)
+    for res in (None, resonance(3, 1, 0.93, 0.31)):
+        mask = kernel_mask(res, *arrays)
+        for key, bit in zip(keys, mask):
+            assert bool(bit) == kernel_mask(res, *key)
 
 
 # -------------------------------------------------- nonresonant block solver
@@ -129,7 +144,6 @@ def test_solver_zero_input():
 
 def test_solver_random_order_cancellation():
     rng = np.random.default_rng(5)
-    kern = KernelSet.nonresonant()
     r = 2
     terms = []
     for k1 in range(7):
@@ -140,7 +154,7 @@ def test_solver_random_order_cancellation():
                     # pure q2^6 has no solution and never arises: every
                     # admissible potential term carries at least rho^2
                     continue
-                if not kern((k1, l1, k2, l2)):
+                if not kernel_mask(None, k1, l1, k2, l2):
                     c = rng.standard_normal() + 1j * rng.standard_normal()
                     terms.append(((k1, l1, k2, l2), c, r))
     htilde = make(terms)
@@ -162,7 +176,7 @@ def test_solver_generic_frequency():
 def test_resonant_solver_example_divisor():
     # q1 q2 p2^2 with w1=1, w2=0.5: divisor i(1*1 + (1-2)*0.5) = 0.5i
     htilde = make([((1, 0, 1, 2), 3.0, 1)])
-    chi = solve_homological_resonant(htilde, 1.0, 0.5, 2, 1)
+    chi = solve_homological_resonant(htilde, resonance(2, 1, 1.0, 0.5))
     assert chi.coefficient(1, 0, 1, 2) == pytest.approx(3.0 / 0.5j)
     z0 = make([((1, 1, 0, 0), 1j, 0), ((0, 0, 1, 1), 0.5j, 0)])
     assert (poisson_bracket(z0, chi) + htilde).max_abs() < 1e-12
@@ -172,18 +186,20 @@ def test_resonant_solver_small_divisor():
     # (k1-l1) w1 + (k2-l2) w2 = 2*1.0 - 4*0.5000000001 ~ -4e-10
     htilde = make([((2, 0, 0, 4), 1.0, 1)])
     with pytest.raises(SmallDivisorError) as info:
-        solve_homological_resonant(htilde, 1.0, 0.5000000001, 3, 1)
+        solve_homological_resonant(htilde, resonance(3, 1, 1.0, 0.5000000001))
     assert info.value.key == (2, 0, 0, 4)
 
 
 def test_resonant_solver_rejects_kernel_terms():
     htilde = make([((1, 0, 0, 2), 1.0, 1)])  # inside the 2:1 kernel
     with pytest.raises(ValueError):
-        solve_homological_resonant(htilde, 0.9, 0.45, 2, 1)
+        solve_homological_resonant(htilde, resonance(2, 1, 0.9, 0.45))
 
 
 def test_resonant_solver_zero_input():
-    chi = solve_homological_resonant(CanonicalPolynomial.zero(5), 0.9, 0.45, 2, 1)
+    chi = solve_homological_resonant(
+        CanonicalPolynomial.zero(5), resonance(2, 1, 0.9, 0.45)
+    )
     assert chi.nterms == 0
 
 
@@ -266,12 +282,11 @@ def test_low_order_coefficients_are_exact_rationals(nf5):
 
 
 def test_kernel_purity(nf5):
-    kern = nf5.kernel
     for s, zpart in enumerate(nf5.Z):
         for key, _c, bk in zpart.term_items():
             assert bk == s
             if s > 0:
-                assert kern(key), (key, s)
+                assert kernel_mask(None, *key), (key, s)
 
 
 def test_z0_unchanged(nf5):
@@ -343,12 +358,6 @@ def test_transverse_cap_reproduces_the_low_transverse_degrees(potential):
     assert all(chi.transverse_cap == 2 for chi in capped.generators)
 
 
-def test_state_kernel_is_the_normalization_kernel(res21):
-    assert repr(res21.kernel) == "KernelSet.resonant(2, 1)"
-    prep = complexify_nonresonant(build_builtin_model())
-    assert repr(KernelSet.for_prepared(prep)) == "KernelSet.nonresonant()"
-
-
 def test_extractors_reject_resonant_states(res21):
     with pytest.raises(ModeError):
         extract_omega2_squared(res21)
@@ -361,17 +370,15 @@ def test_extractors_reject_resonant_states(res21):
 
 @pytest.fixture(scope="module")
 def res21():
-    prep = prepare_resonant(build_builtin_model(), 2, 1, I1_star=0.25,
-                            omega1=0.93, omega2=0.465)
+    prep = prepare_resonant(build_builtin_model(), RES21)
     return normalize(prep, r_max=4, r_trunc=6)
 
 
 def test_resonant_kernel_purity(res21):
-    kern = res21.kernel
     for s, zpart in enumerate(res21.Z):
         for key, _c, _bk in zpart.term_items():
             if s > 0:
-                assert kern(key), (key, s)
+                assert kernel_mask(RES21, *key), (key, s)
 
 
 def test_resonant_residuals(res21):
@@ -388,8 +395,7 @@ def test_resonant_normal_form_commutes_with_resonant_action(res21):
 
 
 def test_resonant_inverse_transform_recovers_input():
-    prep = prepare_resonant(build_builtin_model(), 2, 1, I1_star=0.25,
-                            omega1=0.93, omega2=0.465)
+    prep = prepare_resonant(build_builtin_model(), RES21)
     state = normalize(prep, r_max=3, r_trunc=5)
     back = state.hamiltonian
     for chi in reversed(state.generators):
@@ -449,8 +455,7 @@ def test_normalize_refuses_a_non_real_hamiltonian(mode):
     if mode == "nonresonant":
         prep = complexify_nonresonant(spec)
     else:
-        prep = prepare_resonant(spec, 2, 1, I1_star=0.25, omega1=0.93,
-                                omega2=0.465)
+        prep = prepare_resonant(spec, RES21)
     # q1^3 p1 at bk 1 is real only together with its partner i^4 conj(c) q1 p1^3
     c = prep.poly.coefficient(3, 1, 0, 0, bk=1)
     bad = prep.poly + make([((3, 1, 0, 0), 1e-6 * abs(c) * 1j, 1)],
@@ -480,9 +485,9 @@ def test_normalization_stays_on_the_phase_lattice(potential, mode):
         spec = jittered_builtin(random.Random(potential))
     prep = complexify_nonresonant(spec)
     if mode == "resonant":
-        bif = bifurcation_energy(normalize(prep, r_max=8, r_trunc=9), 2, 1)
-        prep = prepare_resonant(spec, 2, 1, I1_star=bif.I1_star,
-                                omega1=bif.omega1, omega2=bif.omega2)
+        prep = prepare_resonant(
+            spec, bifurcation_energy(normalize(prep, r_max=8, r_trunc=9), 2, 1)
+        )
     state = normalize(prep, r_max=6, r_trunc=8)
     for poly in (prep.poly, state.normal_form, state.remainder):
         assert poly.nterms and lattice_theta(poly) == 0
