@@ -87,8 +87,7 @@ class RemainderProfile:
     the resonant mode).
     """
 
-    def __init__(self, mode, omega_ref, omega2sq, N, slices):
-        self.mode = mode
+    def __init__(self, omega_ref, omega2sq, N, slices):
         self.omega_ref = omega_ref
         self._omega2sq = omega2sq
         self.N = N
@@ -165,17 +164,13 @@ def capture_remainder_profile(
         slices[r] = _aggregate_slice(ham, r + 1, N)
 
     state = normalize(prepared, r_max=N - 1, r_trunc=N, step_callback=snap)
-    return RemainderProfile(prepared.mode, *_norm_scales(state), N, slices)
+    return RemainderProfile(*_norm_scales(state), N, slices)
 
 
 @dataclass
 class RemainderNormTable:
-    """Norm curves r -> ||R^(r,N)|| per dE at fixed (mode, E, beta)."""
+    """Norm curves r -> ||R^(r,N)|| per dE at the scan's (E, beta)."""
 
-    mode: str
-    energy: float
-    beta: float
-    N: int
     rows: list = field(default_factory=list)  # (delta_E, r, N, norm)
 
     def curve(self, delta_E):
@@ -223,7 +218,7 @@ def optimal_order_scan(
     fitted: the fit is None and DegenerateFitWarning is emitted.
     """
     N = profile.N
-    table = RemainderNormTable(mode=profile.mode, energy=E, beta=beta, N=N)
+    table = RemainderNormTable()
     r_opt = {}
     optimal_norms = {}
     for dE in delta_E_grid:

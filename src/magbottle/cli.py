@@ -73,7 +73,6 @@ _CONFIG_ERRORS = (
     UnsupportedPotentialError,
     InvalidFrequencyError,
     ModeError,
-    FileNotFoundError,
 )
 
 
@@ -126,6 +125,8 @@ class RunConfig:
             raise ConfigError("--trunc must be at least max(order, 1)")
         if self.order_cap < 2:
             raise ConfigError("--order-cap must be >= 2")
+        if self.locator_order < 0:
+            raise ConfigError("--locator-order must be >= 0")
         for option, needed in (
             ("--order/--trunc", self.r_trunc),
             ("--locator-order", self.locator_order + 1),
@@ -136,18 +137,25 @@ class RunConfig:
                 raise ConfigError(
                     f"{option} needs truncation order {needed} > {MAX_TRUNC_ORDER}"
                 )
-        if not self.energies or any(E <= 0.0 for E in self.energies):
-            raise ConfigError("energies must be positive")
-        if self.delta_e is not None and any(d <= 0.0 for d in self.delta_e):
-            raise ConfigError("--delta-e values must be positive")
+        # a NaN fails every comparison, so each bound is one it cannot pass
+        if not self.energies or not all(0.0 < E < np.inf for E in self.energies):
+            raise ConfigError(
+                f"--energy must be positive and finite, got {self.energies}"
+            )
+        if not all(0.0 < d < np.inf for d in self.delta_e or ()):
+            raise ConfigError(
+                f"--delta-e must be positive and finite, got {self.delta_e}"
+            )
+        if not np.isfinite(self.beta):
+            raise ConfigError(f"--beta must be finite, got {self.beta}")
         if not 0 < self.order_min <= self.order_max:
             raise ConfigError("need 0 < order-min <= order-max")
         if self.grid_n < 16:
             raise ConfigError("--grid-n must be >= 16")
         if self.n_crossings < 0:
             raise ConfigError("--n-crossings must be >= 0")
-        if not self.tol > 0.0:
-            raise ConfigError(f"--tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError(f"--tol must be positive and finite, got {self.tol}")
         for m1, m2 in self.pairs:
             if m1 < 1 or m2 < 1:
                 raise ConfigError(f"--pair {m1}:{m2} needs m1 >= 1 and m2 >= 1")
@@ -253,11 +261,23 @@ def _write_csv(path: Path, columns, rows, config_hash: str):
             fh.write(",".join(cells) + "\n")
 
 
+def _read_input(option, path):
+    """The text of the file ``path`` given as ``option``; a file that cannot
+    be read or decoded is a configuration error naming both and the error
+    class."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"cannot read {option} {path}: {type(exc).__name__}: {exc}"
+        ) from None
+
+
 def _load_seeds(config: RunConfig):
     if config.seed_file is None:
         raise ConfigError("this subcommand needs --seed-file")
     seeds = []
-    for line in Path(config.seed_file).read_text().splitlines():
+    for line in _read_input("--seed-file", config.seed_file).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -276,7 +296,7 @@ def _load_seeds(config: RunConfig):
 def _load_potential(config: RunConfig):
     if config.potential is None:
         return build_builtin_model()
-    return parse_potential(Path(config.potential).read_text())
+    return parse_potential(_read_input("--potential", config.potential))
 
 
 def _series_state(spec, r_max, r_trunc):
@@ -495,13 +515,6 @@ def _add_common(sub):
         "--potential",
         help="potential definition file (default: builtin magnetic bottle)",
     )
-    sub.add_argument(
-        "--seed-file",
-        help="text file of 'z p_z' section seeds, one per line, # comments",
-    )
-    sub.add_argument(
-        "--tol", type=float, help="integrator and monodromy bisection tolerance"
-    )
 
 
 def _add_mode(sub):
@@ -538,6 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_mode(p)
+    p.add_argument("--tol", type=float, help="integrator tolerance")
+    p.add_argument(
+        "--seed-file",
+        help="text file of 'z p_z' section seeds, one per line, # comments",
+    )
     p.add_argument("--order", type=int, help="normalization order r")
     p.add_argument("--trunc", type=int)
     p.add_argument(
@@ -574,6 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bifurcation", help="equatorial resonance energies, series and numeric"
     )
     _add_common(p)
+    p.add_argument("--tol", type=float, help="monodromy bisection tolerance")
     p.add_argument(
         "--pair",
         action="append",
@@ -592,6 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos-threshold", help="1:1 transition energy, numeric and per order"
     )
     _add_common(p)
+    p.add_argument("--tol", type=float, help="monodromy bisection tolerance")
     p.add_argument("--order-min", type=int)
     p.add_argument("--order-max", type=int)
     p.add_argument(
@@ -669,10 +689,9 @@ def _json_fits(key, value, kind):
 
 
 def _config_from_file(path: str) -> RunConfig:
+    text = _read_input("--config", path)
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        raw = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -94,6 +94,10 @@ SECTION_TIME_PER_CROSSING = 12.0
 #: energy tolerance of the bisection in :func:`numerical_bifurcation_energy`
 _BIFURCATION_XTOL = 1e-10
 
+#: energy interval that :func:`numerical_bifurcation_energy` scans, on a
+#: 34-point grid, for the first sign change of the trace condition
+_BIFURCATION_BRACKET = (1e-3, 0.55)
+
 
 @dataclass(frozen=True)
 class OrbitState:
@@ -666,7 +670,6 @@ def numerical_bifurcation_energy(
     m1: int,
     m2: int,
     potential: PotentialSpec | None = None,
-    bracket=(1e-3, 0.55),
     tol: float = 1e-11,
     traces: dict | None = None,
 ) -> float:
@@ -686,7 +689,7 @@ def numerical_bifurcation_energy(
     Raises
     ------
     NoBifurcationInRange
-        If the target trace is not reached inside ``bracket``.
+        If the target trace is not reached inside ``_BIFURCATION_BRACKET``.
     """
     target = 2.0 * math.cos(math.pi * m2 / m1)
     potential = resolve_potential(potential)  # one spec: one barrier solve
@@ -702,7 +705,7 @@ def numerical_bifurcation_energy(
     # Tr(M_half) leaves (-2, 2) beyond the 1:1 transition and comes back at
     # higher energy (the orbit re-stabilizes), so scan for the first sign
     # change instead of trusting the interval endpoints.
-    lo, hi = bracket
+    lo, hi = _BIFURCATION_BRACKET
     grid = np.linspace(lo, hi, 34)
     f_left = f(float(grid[0]))
     if f_left == 0.0:

@@ -52,16 +52,13 @@ class FormalIntegral:
 
     ``poly`` reuses the four exponent slots as (rho, p_rho, z, p_z); all
     coefficients are real.  ``order`` is the normalization order the
-    series was pulled back from.
+    series was pulled back from, and ``resonance`` that of its normal form
+    (None for the nonresonant one).
     """
 
     poly: CanonicalPolynomial
     order: int
     resonance: Resonance | None = None
-
-    @property
-    def mode(self):
-        return "nonresonant" if self.resonance is None else "resonant"
 
     def evaluate(self, rho, z, p_rho, p_z):
         """Value of the integral at phase-space points (broadcasting)."""

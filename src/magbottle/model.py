@@ -55,13 +55,11 @@ class PotentialSpec:
         ``{(a, b): c}`` with integer exponents ``0 <= a, b <= 127``, the
         largest the polynomial algebra packs; a larger one raises
         :class:`UnsupportedPotentialError`.  Zero coefficients are dropped.
-    source : str
-        ``"builtin"`` or ``"parsed"``.
     """
 
-    __slots__ = ("_terms", "source", "_critical_energy")
+    __slots__ = ("_terms", "_critical_energy")
 
-    def __init__(self, terms, source="parsed"):
+    def __init__(self, terms):
         cleaned = {}
         for (a, b), c in terms.items():
             a, b = int(a), int(b)
@@ -75,7 +73,6 @@ class PotentialSpec:
             if c != 0.0:
                 cleaned[(a, b)] = c
         self._terms = dict(sorted(cleaned.items()))
-        self.source = source
         self._critical_energy = None  # filled by critical_energy()
 
     def as_dict(self):
@@ -115,7 +112,7 @@ class PotentialSpec:
             for k in range(n_z):
                 c = c * (b - k)
             terms[(a - n_rho, b - n_z)] = c
-        return PotentialSpec(terms, source=self.source)
+        return PotentialSpec(terms)
 
     def __eq__(self, other):
         if not isinstance(other, PotentialSpec):
@@ -126,7 +123,7 @@ class PotentialSpec:
         return hash(tuple(self._terms.items()))
 
     def __repr__(self):
-        return f"PotentialSpec({potential_to_text(self)!r}, source={self.source!r})"
+        return f"PotentialSpec({potential_to_text(self)!r})"
 
 
 def build_builtin_model() -> PotentialSpec:
@@ -135,7 +132,7 @@ def build_builtin_model() -> PotentialSpec:
     V = rho^2/2 + rho^2 z^2/2 - rho^4/8 + rho^2 z^4/8 - rho^4 z^2/16
         + rho^6/128.
     """
-    return PotentialSpec(_BUILTIN_TERMS, source="builtin")
+    return PotentialSpec(_BUILTIN_TERMS)
 
 
 def resolve_potential(potential: PotentialSpec | None) -> PotentialSpec:
@@ -351,7 +348,7 @@ def parse_potential(text: str) -> PotentialSpec:
     """
     if not text.strip():
         raise ParseError("empty potential expression")
-    return PotentialSpec(_Parser(text).parse(), source="parsed")
+    return PotentialSpec(_Parser(text).parse())
 
 
 # scipy.optimize.brentq's defaults, and the only values the callers use

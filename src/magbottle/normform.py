@@ -35,7 +35,6 @@ from .polyalg import (
     CanonicalPolynomial,
     conjugate,
     lie_transform,
-    poisson_bracket,
 )
 
 __all__ = [
@@ -180,7 +179,10 @@ class NormalizationState:
     ``hamiltonian`` is the full transformed Hamiltonian H^(r) truncated at
     ``r_trunc``; orders 0..r form the normal form and orders r+1..r_trunc
     the remainder.  ``residuals`` holds per-step pairs (infinity norm of
-    ``{Z_0, chi_r} + Htilde_r``, infinity norm of ``Htilde_r``).
+    ``{Z_0, chi_r} + Htilde_r``, infinity norm of ``Htilde_r``); a step
+    with nothing to remove records (0.0, 0.0).  The residual is what the
+    step's transform left outside the kernel at order r, read before that
+    slice is replaced by its kernel part (see :func:`normalize`).
     ``transverse_cap`` is the Hamiltonian's cap on k2 + l2 (None for a
     full run); a capped state holds only the terms up to that transverse
     degree, in the Hamiltonian and in the generators.
@@ -196,10 +198,6 @@ class NormalizationState:
     @property
     def transverse_cap(self):
         return self.hamiltonian.transverse_cap
-
-    @property
-    def mode(self):
-        return self.prepared.mode
 
     def require_full(self, consumer):
         """Raise ModeError if the state was normalized under a transverse cap.
@@ -239,8 +237,13 @@ def normalize(
 
     After each step the order-r slice is replaced by its exact kernel part:
     the transform cancels the non-kernel terms only to rounding, and the
-    leftover dust would otherwise pollute the normal form.  The per-step
-    cancellation quality is recorded in ``state.residuals``.
+    leftover dust would otherwise pollute the normal form.  That dust is
+    the step's residual: the only contribution of ``exp(L_chi_r)`` at
+    order r is ``{Z_0, chi_r}``, so the transformed order-r slice less its
+    kernel part is ``Htilde_r + {Z_0, chi_r}``, term for term the sum the
+    bracket would form.  Its largest coefficient is read off the
+    transformed Hamiltonian before the slice is replaced and recorded in
+    ``state.residuals``; no bracket is formed for it.
 
     ``transverse_cap`` drops every term of transverse degree k2 + l2 above
     the cap from the working Hamiltonian and the generators.  The terms up
@@ -254,7 +257,7 @@ def normalize(
     The Hamiltonian and every generator are real functions written in the
     complex variables of ``prepared.complex_pairs``, so each bracket forms
     one product per complex pair and takes the other as its conjugate (see
-    :func:`poisson_bracket`).
+    :func:`polyalg.poisson_bracket`).
 
     Both also lie on the phase lattice of :mod:`polyalg`: every coefficient
     of the Hamiltonian is i^(l1+l2) r (theta 0) and every coefficient of a
@@ -291,7 +294,6 @@ def normalize(
         )
     resonance = prepared.resonance
     ham = prepared.poly.copy(trunc_order=r_trunc, transverse_cap=transverse_cap)
-    z0 = ham.bk_part(0)
     state = NormalizationState(
         prepared=prepared, r=0, r_trunc=r_trunc, hamiltonian=ham
     )
@@ -303,9 +305,10 @@ def normalize(
                 chi = solve_homological_nonresonant(htilde, prepared.omega10, r)
             else:
                 chi = solve_homological_resonant(htilde, resonance)
-            residual = poisson_bracket(z0, chi, pairs) + htilde
-            state.residuals.append((residual.max_abs(), htilde.max_abs()))
             ham = lie_transform(ham, chi, complex_pairs=pairs)
+            # the transform left Htilde_r + {Z_0, chi_r} beside the kernel part
+            residual = (ham.bk_part(r) - inside).max_abs()
+            state.residuals.append((residual, htilde.max_abs()))
             # replace the order-r slice with its exact kernel part
             ham = ham.restrict_bk(0, r - 1) + inside + ham.restrict_bk(r + 1, r_trunc)
         else:
@@ -342,7 +345,7 @@ def extract_omega2_squared(state: NormalizationState) -> dict:
         If the state is resonant; the resonant normal form has no
         single-frequency q2^2 ladder.
     """
-    if state.mode != "nonresonant":
+    if state.prepared.resonance is not None:
         raise ModeError("omega2^2 extraction requires a nonresonant normal form")
     series = {}
     for n in range(1, state.r + 1):
@@ -361,7 +364,7 @@ def equatorial_energy_series(state: NormalizationState) -> dict:
     ModeError
         If the state is resonant.
     """
-    if state.mode != "nonresonant":
+    if state.prepared.resonance is not None:
         raise ModeError("equatorial series extraction requires a nonresonant state")
     series = {}
     for n in range(1, state.r + 2):

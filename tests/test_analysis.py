@@ -61,7 +61,7 @@ def test_norm_monotone_in_N(nonres_profile):
 def test_norm_matches_direct_state_evaluation(nonres_profile, nf5):
     # one slice, built from the state normalized exactly to r = 5
     slices = {5: _aggregate_slice(nf5.hamiltonian, 6, 6)}
-    via_state = RemainderProfile(nf5.mode, *_norm_scales(nf5), 6, slices)
+    via_state = RemainderProfile(*_norm_scales(nf5), 6, slices)
     via_profile = nonres_profile.norm(5, 6, 0.2, 1e-3)
     assert via_state.norm(5, 6, 0.2, 1e-3) == pytest.approx(via_profile, rel=1e-12)
 
@@ -92,7 +92,7 @@ def test_aggregate_slice_equals_a_dict_reference_bitwise(state, request):
     empty = _aggregate_slice(ham, ham.trunc_order + 1, ham.trunc_order + 3)
     assert [a.size for a in empty] == [0] * 5
     assert [a.dtype for a in empty] == [np.dtype(np.int64)] * 4 + [np.dtype(np.float64)]
-    profile = RemainderProfile("nonresonant", 1.0, lambda action: 1.0, 20, {1: empty})
+    profile = RemainderProfile(1.0, lambda action: 1.0, 20, {1: empty})
     assert profile.norm(1, 20, 0.2, 1e-3, beta=0.5) == 0.0
 
 

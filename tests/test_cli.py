@@ -1,5 +1,6 @@
 """End-to-end tests of the batch command-line interface."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -228,6 +229,34 @@ def test_missing_seed_file_is_config_error(tmp_path):
     assert "FileNotFoundError" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["section", "--seed-file"], "--seed-file"),
+        (["normalize", "--potential"], "--potential"),
+        (["--config"], "--config"),
+    ],
+    ids=["seed-file", "potential", "config"],
+)
+@pytest.mark.parametrize("error", ["IsADirectoryError", "UnicodeDecodeError"])
+def test_unreadable_input_file_is_config_error(
+    tmp_path, monkeypatch, capsys, argv, option, error
+):
+    # a directory given as --seed-file or --potential raised
+    # IsADirectoryError, and a file that is not UTF-8 UnicodeDecodeError
+    # (exit 3; from --config it read as "not JSON"); the run writes under
+    # tmp_path
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "inputs"
+    if error == "IsADirectoryError":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff 0.1 0.0\n")
+    assert cli.main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ConfigError: cannot read {option} {path}: {error}")
+
+
 def test_oversized_potential_exponent_is_config_error(tmp_path):
     potential = tmp_path / "potential.txt"
     potential.write_text("0.5*rho^2 + 0.1*(rho^2)^70\n")
@@ -253,6 +282,25 @@ def test_oversized_potential_exponent_is_config_error(tmp_path):
                      id="pair-0:1"),
         pytest.param(["bifurcation", "--pair", "3:0"], "--pair 3:0 needs m1 >= 1",
                      id="pair-3:0"),
+        # a NaN passed every comparison and an infinity every bound: the
+        # norm raised RangeError (exit 3), a NaN beta or an infinite energy
+        # wrote NaN or overflowed results (exit 0), and an infinite --tol
+        # made the integrator's error norm non-finite (exit 3)
+        pytest.param(["asymptotics", "--energy", "nan"],
+                     "--energy must be positive and finite", id="energy-nan"),
+        pytest.param(["asymptotics", "--energy", "inf"],
+                     "--energy must be positive and finite", id="energy-inf"),
+        pytest.param(["asymptotics", "--delta-e", "nan"],
+                     "--delta-e must be positive and finite", id="delta-e-nan"),
+        pytest.param(["asymptotics", "--beta", "nan"], "--beta must be finite",
+                     id="beta-nan"),
+        pytest.param(["asymptotics", "--beta=-inf"], "--beta must be finite",
+                     id="beta-inf"),
+        pytest.param(["section", "--tol", "inf"], "--tol must be positive and finite",
+                     id="tol-inf"),
+        # normalize raised ValueError on the negative order (exit 3)
+        pytest.param(["normalize", "--mode", "res", "--locator-order", "-1"],
+                     "--locator-order must be >= 0", id="locator-order-negative"),
     ],
 )
 def test_invalid_option_value_is_config_error(tmp_path, capsys, argv, message):
@@ -422,6 +470,33 @@ def test_bare_command_line_takes_the_run_config_defaults(subcommand):
     if subcommand == "section":
         want = dataclasses.replace(want, energies=(0.1,))
     assert config == want
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    # --seed-file is read by section alone, and --tol by section, bifurcation
+    # and chaos-threshold
+    common = {"-h", "--help", "--out", "--potential"}
+    mode = {"--mode", "--m1", "--m2", "--locator-order"}
+    want = {
+        "normalize": common | mode | {"--order", "--trunc"},
+        "section": common | mode | {"--seed-file", "--tol", "--order", "--trunc",
+                                    "--energy", "--n-crossings", "--grid-n"},
+        "asymptotics": common | mode | {"--order-cap", "--energy", "--beta",
+                                        "--delta-e"},
+        "bifurcation": common | {"--tol", "--pair", "--locator-order",
+                                 "--no-numeric"},
+        "chaos-threshold": common | {"--tol", "--order-min", "--order-max",
+                                     "--no-numeric"},
+    }
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    got = {
+        name: {s for action in sub._actions for s in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert got == want
 
 
 def test_config_with_an_unknown_key_is_refused(tmp_path, capsys):

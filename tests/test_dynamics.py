@@ -580,6 +580,7 @@ def test_exact_hit_at_either_scan_end_is_returned(monkeypatch):
     assert numerical_bifurcation_energy(1, 1, traces=rising) == lo
 
 
-def test_unreachable_rotation_number_raises():
+def test_unreachable_rotation_number_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "_BIFURCATION_BRACKET", (1e-3, 0.3))
     with pytest.raises(NoBifurcationInRange):
-        numerical_bifurcation_energy(1, 2, bracket=(1e-3, 0.3), tol=1e-9)
+        numerical_bifurcation_energy(1, 2, tol=1e-9)

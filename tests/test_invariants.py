@@ -53,7 +53,7 @@ def islands_and_rings(level_set):
 def test_back_transform_r0_is_harmonic_action(prep):
     state = normalize(prep, r_max=0, r_trunc=1)
     phi = back_transform(state)
-    assert phi.mode == "nonresonant"
+    assert phi.resonance is None
     assert phi.order == 0
     rng = np.random.default_rng(7)
     for rho, z, prho, pz in rng.uniform(-0.4, 0.4, size=(20, 4)):

@@ -112,7 +112,6 @@ def test_derivative_past_the_degree_is_empty():
 def test_parse_single_term():
     spec = parse_potential("0.5*rho^2")
     assert spec.as_dict() == {(2, 0): 0.5}
-    assert spec.source == "parsed"
 
 
 def test_parse_rational_coefficients():

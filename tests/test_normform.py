@@ -23,6 +23,7 @@ from magbottle.model import (
     prepare_resonant,
 )
 from magbottle.normform import (
+    _partition,
     equatorial_energy_series,
     extract_omega2_squared,
     kernel_mask,
@@ -298,6 +299,27 @@ def test_residuals_are_small(nf5):
     for absolute, scale in nf5.residuals:
         assert absolute < 1e-11
         assert absolute <= 1e-13 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("name", ["prep", "res21_prep"])
+def test_recorded_residual_equals_the_bracket_residual_bitwise(request, name):
+    # normalize reads each step's residual off the transformed Hamiltonian;
+    # it must equal the infinity norm of {Z_0, chi_r} + Htilde_r formed by
+    # a bracket, bit for bit
+    prepared = request.getfixturevalue(name)
+    r_trunc = 9 if prepared.resonance is None else 10
+    before = [prepared.poly.copy(trunc_order=r_trunc)]
+    state = normalize(prepared, r_max=8, r_trunc=r_trunc,
+                      step_callback=lambda r, ham: before.append(ham))
+    z0, pairs = before[0].bk_part(0), prepared.complex_pairs
+    for r, (chi, recorded) in enumerate(zip(state.generators, state.residuals), 1):
+        _inside, htilde = _partition(before[r - 1].bk_part(r), prepared.resonance)
+        residual = poisson_bracket(z0, chi, pairs) + htilde
+        want = (residual.max_abs(), htilde.max_abs())
+        assert [v.hex() for v in recorded] == [v.hex() for v in want], r
+    # from r = 5 on the cancellation leaves rounding, which the bracket and
+    # the transform must leave alike
+    assert state.residuals[-1][0] > 0.0
 
 
 def test_normal_form_commutes_with_action(nf5):
