@@ -129,7 +129,7 @@ class RunConfig:
             raise ConfigError("--locator-order must be >= 0")
         for option, needed in (
             ("--order/--trunc", self.r_trunc),
-            ("--locator-order", self.locator_order + 1),
+            ("--locator-order", self.locator_order),
             ("--order-cap", self.order_cap),
             ("--order-max", self.order_max),
         ):
@@ -163,7 +163,12 @@ class RunConfig:
 
     @property
     def r_trunc(self) -> int:
-        """The truncation order of the normal form: ``trunc``, or order + 1."""
+        """The truncation order of the normal form at ``--order``: the order
+        itself for ``section``, whose pullback reads no higher order, and
+        ``trunc``, or order + 1, for ``normalize``, which writes the
+        remainder. ``section`` ignores ``trunc``."""
+        if self.subcommand == "section":
+            return self.order
         return self.trunc if self.trunc is not None else self.order + 1
 
     def canonical_json(self) -> str:
@@ -299,19 +304,12 @@ def _load_potential(config: RunConfig):
     return parse_potential(_read_input("--potential", config.potential))
 
 
-def _series_state(spec, r_max, r_trunc):
-    """Nonresonant normalization capped to what the series readers use."""
-    return normalize(
-        complexify_nonresonant(spec),
-        r_max=r_max,
-        r_trunc=r_trunc,
-        transverse_cap=SERIES_TRANSVERSE_CAP,
-    )
-
-
-def _locator(config: RunConfig, spec):
-    """The nonresonant run that resonances are located on."""
-    return _series_state(spec, config.locator_order, config.locator_order + 1)
+def _series_state(spec, r):
+    """Nonresonant normalization to order r, capped to what the series
+    readers use. They read no order above r, and the orders up to r come
+    out the same at any truncation past r, so it truncates at r."""
+    prepared = complexify_nonresonant(spec)
+    return normalize(prepared, r, r, transverse_cap=SERIES_TRANSVERSE_CAP)
 
 
 def _prepare(config: RunConfig, spec):
@@ -323,23 +321,16 @@ def _prepare(config: RunConfig, spec):
     """
     if config.mode == "nonres":
         return complexify_nonresonant(spec)
-    resonance = bifurcation_energy(_locator(config, spec), config.m1, config.m2)
-    return prepare_resonant(spec, resonance)
-
-
-def _normal_form(config: RunConfig, prepared):
-    """Uncapped normalization to ``--order``, truncated at ``--trunc``
-    (default order + 1)."""
-    return normalize(prepared, r_max=config.order, r_trunc=config.r_trunc)
+    locator = _series_state(spec, config.locator_order)
+    return prepare_resonant(spec, bifurcation_energy(locator, config.m1, config.m2))
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_normalize(config: RunConfig, out: Path, config_hash: str):
-    spec = _load_potential(config)
+def cmd_normalize(config: RunConfig, out: Path, config_hash: str, spec):
     prepared = _prepare(config, spec)
-    state = _normal_form(config, prepared)
+    state = normalize(prepared, r_max=config.order, r_trunc=config.r_trunc)
     meta = {
         "mode": prepared.mode,
         "order": state.r,
@@ -355,13 +346,11 @@ def cmd_normalize(config: RunConfig, out: Path, config_hash: str):
     _write_json(out / "remainder.json", dict(meta, terms=state.remainder), config_hash)
 
 
-def cmd_section(config: RunConfig, out: Path, config_hash: str):
-    spec = _load_potential(config)
-    seeds = _load_seeds(config)
+def cmd_section(config: RunConfig, out: Path, config_hash: str, spec, seeds):
     if not seeds:
         print("seed file is empty; nothing to integrate", file=sys.stderr)
         return
-    state = _normal_form(config, _prepare(config, spec))
+    state = normalize(_prepare(config, spec), config.order, config.r_trunc)
     integral = back_transform(state)
     for E in config.energies:
         tag = f"E{E:g}"
@@ -415,8 +404,7 @@ def _field_rows(field):
         )
 
 
-def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
-    spec = _load_potential(config)
+def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str, spec):
     prepared = _prepare(config, spec)
     profile = capture_remainder_profile(prepared, N=config.order_cap)
     grid = config.delta_e if config.delta_e is not None else DEFAULT_DELTA_E_GRID
@@ -462,9 +450,8 @@ def cmd_asymptotics(config: RunConfig, out: Path, config_hash: str):
         _write_json(out / "fits.json", payload, config_hash)
 
 
-def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str):
-    spec = _load_potential(config)
-    locator = _locator(config, spec)
+def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str, spec):
+    locator = _series_state(spec, config.locator_order)
     results = []
     # every pair scans the same energy grid, so each trace is computed once
     traces = {}
@@ -479,14 +466,13 @@ def cmd_bifurcation(config: RunConfig, out: Path, config_hash: str):
     _write_json(out / "bifurcations.json", {"bifurcations": results}, config_hash)
 
 
-def cmd_chaos_threshold(config: RunConfig, out: Path, config_hash: str):
-    spec = _load_potential(config)
+def cmd_chaos_threshold(config: RunConfig, out: Path, config_hash: str, spec):
     payload = {}
     reference = None
     if config.numeric:
         reference = numerical_bifurcation_energy(1, 1, potential=spec, tol=config.tol)
         payload["numeric_E_t"] = reference
-    state = _series_state(spec, config.order_max, max(config.order_max, 1))
+    state = _series_state(spec, config.order_max)
     table = chaos_threshold_convergence(
         state, range(config.order_min, config.order_max + 1), reference_energy=reference
     )
@@ -557,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="text file of 'z p_z' section seeds, one per line, # comments",
     )
     p.add_argument("--order", type=int, help="normalization order r")
-    p.add_argument("--trunc", type=int)
     p.add_argument(
         "--energy",
         type=float,
@@ -725,11 +710,15 @@ def main(argv=None) -> int:
         return 2
     out = Path(config.out)
     try:
+        # inputs are read first, so a refused input file leaves no --out
+        inputs = [_load_potential(config)]
+        if config.subcommand == "section":
+            inputs.append(_load_seeds(config))
         out.mkdir(parents=True, exist_ok=True)
         (out / "run_config.json").write_text(config.canonical_json())
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            _COMMANDS[config.subcommand](config, out, config.sha256())
+            _COMMANDS[config.subcommand](config, out, config.sha256(), *inputs)
     except _CONFIG_ERRORS + (ConfigError,) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

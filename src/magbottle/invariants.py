@@ -29,6 +29,7 @@ import numpy as np
 from .dynamics import section_seed_state
 from .errors import NonRealIntegralError
 from .model import PotentialSpec, Resonance, inverse_complexification, resolve_potential
+from .normform import require_real
 from .polyalg import CanonicalPolynomial, evaluate, lie_transform, substitute_pairs
 
 __all__ = [
@@ -127,14 +128,16 @@ def back_transform(state) -> FormalIntegral:
     """Pull the conserved seed of the normal form to original variables.
 
     Applies ``exp(-L_chi_1) o ... o exp(-L_chi_r)`` (innermost first) to
-    the conserved quadratic, truncates at book-keeping order r, and
+    the conserved quadratic, truncated at book-keeping order r, and
     substitutes the inverse complexification of each complexified pair.
     Coefficients must come out real up to the arithmetic noise floor.
 
-    The pullback forms both products of every bracket, unlike
-    :func:`normalize`: the conjugate-product bracket assumes that each
-    generator is real and returns a real result whether it is or not, so
-    it would hide a corrupted generator from the check below.
+    Each generator is first checked once against its conjugate, as
+    :func:`normalize` checks the prepared Hamiltonian; the pullback then
+    forms one product per complex pair of each bracket, as the
+    normalization does. The conjugate-product bracket returns a real
+    result whether its factors are real or not, so the check must come
+    first: it is what finds a corrupted generator.
 
     Raises
     ------
@@ -142,11 +145,16 @@ def back_transform(state) -> FormalIntegral:
         If the state was normalized under a transverse cap: the pullback
         reads every transverse degree of the generators.
     NonRealIntegralError
-        If a substituted coefficient keeps an imaginary part above the
-        tolerance (a transform defect, not a data problem).
+        If a generator differs from its conjugate by more than
+        ``REALITY_TOL`` of its largest coefficient, or a substituted
+        coefficient keeps an imaginary part above the tolerance (a
+        transform defect, not a data problem).
     """
     state.require_full("back_transform")
     prepared = state.prepared
+    pairs = prepared.complex_pairs
+    for s, chi in enumerate(state.generators, 1):
+        require_real(chi, pairs, NonRealIntegralError, f"generator chi_{s}")
     res = prepared.resonance
     if res is not None:
         seed = [((1, 1, 0, 0), 1j * res.m1, 0), ((0, 0, 1, 1), 1j * res.m2, 0)]
@@ -154,10 +162,9 @@ def back_transform(state) -> FormalIntegral:
     else:
         seed = [((1, 1, 0, 0), 1j, 0)]
         transverse = None
-    phi = CanonicalPolynomial.from_terms(seed, trunc_order=max(state.r, 1))
+    phi = CanonicalPolynomial.from_terms(seed, trunc_order=state.r)
     for chi in reversed(state.generators):
-        phi = lie_transform(phi, chi, inverse=True)
-    phi = phi.restrict_bk(0, state.r)
+        phi = lie_transform(phi, chi, inverse=True, complex_pairs=pairs)
     maps = (inverse_complexification(prepared.omega10), transverse)
     real_phi = substitute_pairs(phi, maps)
     *exponents, _bk, coeffs = real_phi.term_arrays()

@@ -39,6 +39,7 @@ from .polyalg import (
 
 __all__ = [
     "kernel_mask",
+    "require_real",
     "NormalizationState",
     "solve_homological_nonresonant",
     "solve_homological_resonant",
@@ -68,6 +69,18 @@ def kernel_mask(resonance: Resonance | None, k1, l1, k2, l2):
         axis = (k1 + l1 == 0) & (k2 == 0) & (l2 == 2)
         return (k1 == l1) & (trans | axis)
     return (k1 - l1) * resonance.m1 + (k2 - l2) * resonance.m2 == 0
+
+
+def require_real(poly, pairs, error, name):
+    """Raise ``error`` if ``poly`` differs from its conjugate on ``pairs`` by
+    more than ``REALITY_TOL`` of its largest coefficient; ``name`` names
+    ``poly`` in the message."""
+    gap = (poly - conjugate(poly, pairs)).max_abs()
+    if gap > REALITY_TOL * poly.max_abs():
+        raise error(
+            f"{name} differs from its conjugate on pairs {pairs} "
+            f"by {gap:.3e} (largest coefficient {poly.max_abs():.3e})"
+        )
 
 
 def _partition(poly, resonance):
@@ -285,13 +298,7 @@ def normalize(
             f"normalization order {r_max} exceeds truncation order {r_trunc}"
         )
     pairs = prepared.complex_pairs
-    gap = (prepared.poly - conjugate(prepared.poly, pairs)).max_abs()
-    scale = prepared.poly.max_abs()
-    if gap > REALITY_TOL * scale:
-        raise NonRealHamiltonianError(
-            f"prepared Hamiltonian differs from its conjugate on pairs {pairs} "
-            f"by {gap:.3e} (largest coefficient {scale:.3e})"
-        )
+    require_real(prepared.poly, pairs, NonRealHamiltonianError, "prepared Hamiltonian")
     resonance = prepared.resonance
     ham = prepared.poly.copy(trunc_order=r_trunc, transverse_cap=transverse_cap)
     state = NormalizationState(

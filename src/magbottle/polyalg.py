@@ -88,9 +88,10 @@ added pair by pair in the order of the generic bracket, P_0 + P_0* then
 the (q2, p2) piece: a sum of the two P_j conjugated once adds the same
 terms in another order, and that moves a coefficient of the 3:1 normal
 form (r=8, trunc 10) by 1.7e-10, past the rounding that the benchmark's
-reference check allows. The back-transform keeps both products of every
-pair: on a generator that is not real the identity forces a real result,
-which would hide the defect.
+reference check allows. The normalization and the back-transform both
+bracket this way. On a generator that is not real the identity still
+forces a real result, which would hide the defect, so the back-transform
+first checks each generator against its conjugate.
 
 Phase lattice
 -------------

@@ -25,9 +25,18 @@ from magbottle.errors import (
     NoRootError,
     RangeError,
 )
-from magbottle.cli import _series_state
-from magbottle.model import Resonance, build_builtin_model, critical_energy
-from magbottle.normform import equatorial_energy_series, extract_omega2_squared
+from magbottle.cli import SERIES_TRANSVERSE_CAP, _series_state
+from magbottle.model import (
+    Resonance,
+    build_builtin_model,
+    complexify_nonresonant,
+    critical_energy,
+)
+from magbottle.normform import (
+    equatorial_energy_series,
+    extract_omega2_squared,
+    normalize,
+)
 
 from conftest import jittered_builtin
 from oracles import scalar_grid_resonance
@@ -228,12 +237,12 @@ def test_array_grid_equals_the_scalar_loop(jittered):
     spec = jittered_builtin(random.Random(3)) if jittered else build_builtin_model()
     e_crit = critical_energy(spec)
     cases = []
-    deep = _series_state(spec, 15, 15)
+    deep = _series_state(spec, 15)
     e_series = equatorial_energy_series(deep)
     w_series = extract_omega2_squared(deep)
     for r in range(10, 16):
         cases.append((_truncated(e_series, r + 1), _truncated(w_series, r), 1, 1))
-    locator = _series_state(spec, 8, 9)
+    locator = _series_state(spec, 8)
     for m1, m2 in ((3, 1), (2, 1)):
         cases.append(
             (equatorial_energy_series(locator), extract_omega2_squared(locator), m1, m2)
@@ -244,6 +253,26 @@ def test_array_grid_equals_the_scalar_loop(jittered):
             *scalar_grid_resonance(energy, omega2, m1, m2, e_crit)
         )
         assert got == want
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+def test_locator_resonance_does_not_depend_on_the_truncation_past_its_order(
+    jittered,
+):
+    # the series readers take only orders <= r, so the locator truncates at
+    # its order r; one order more must give the same resonance bit for bit
+    spec = jittered_builtin(random.Random(3)) if jittered else build_builtin_model()
+    r = 8
+    tight = _series_state(spec, r)
+    assert tight.r_trunc == r
+    wide = normalize(
+        complexify_nonresonant(spec), r, r + 1, transverse_cap=SERIES_TRANSVERSE_CAP
+    )
+    for m1, m2 in ((2, 1), (3, 1)):
+        got = bifurcation_energy(tight, m1, m2)
+        want = bifurcation_energy(wide, m1, m2)
+        # repr is exact for a float and tells -0.0 from 0.0
+        assert repr(got) == repr(want)
 
 
 def test_chaos_threshold_convergence_rows(nf8):

@@ -257,6 +257,21 @@ def test_unreadable_input_file_is_config_error(
     assert err.startswith(f"ConfigError: cannot read {option} {path}: {error}")
 
 
+@pytest.mark.parametrize(
+    "argv", [["section", "--seed-file"], ["normalize", "--potential"]],
+    ids=["seed-file", "potential"],
+)
+def test_refused_input_file_leaves_no_run_directory(tmp_path, capsys, argv):
+    # run_config.json was written to --out before the subcommand read its
+    # input file, so a refused run left a directory that replays to the
+    # same refusal
+    out = tmp_path / "run"
+    assert cli.main(argv + [str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError") and "IsADirectoryError" in err
+    assert not out.exists()
+
+
 def test_oversized_potential_exponent_is_config_error(tmp_path):
     potential = tmp_path / "potential.txt"
     potential.write_text("0.5*rho^2 + 0.1*(rho^2)^70\n")
@@ -324,7 +339,7 @@ def test_negative_crossing_count_is_config_error(tmp_path):
     [
         ["normalize", "--order", "126"],
         ["normalize", "--order", "5", "--trunc", "127"],
-        ["bifurcation", "--locator-order", "126"],
+        ["bifurcation", "--locator-order", "127"],
         ["asymptotics", "--order-cap", "127"],
         ["chaos-threshold", "--order-max", "127"],
     ],
@@ -341,7 +356,7 @@ def test_truncation_past_the_packing_is_config_error(tmp_path, capsys, argv):
     config = _config_from_args(build_parser().parse_args(argv))
     field, value = {
         "--order": ("order", 125), "--trunc": ("trunc", 126),
-        "--locator-order": ("locator_order", 125),
+        "--locator-order": ("locator_order", 126),
         "--order-cap": ("order_cap", 126), "--order-max": ("order_max", 126),
     }[argv[-2]]
     dataclasses.replace(config, **{field: value}).validate()
@@ -479,8 +494,8 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
     mode = {"--mode", "--m1", "--m2", "--locator-order"}
     want = {
         "normalize": common | mode | {"--order", "--trunc"},
-        "section": common | mode | {"--seed-file", "--tol", "--order", "--trunc",
-                                    "--energy", "--n-crossings", "--grid-n"},
+        "section": common | mode | {"--seed-file", "--tol", "--order", "--energy",
+                                    "--n-crossings", "--grid-n"},
         "asymptotics": common | mode | {"--order-cap", "--energy", "--beta",
                                         "--delta-e"},
         "bifurcation": common | {"--tol", "--pair", "--locator-order",

@@ -22,6 +22,7 @@ from magbottle.model import Resonance, prepare_resonant
 from magbottle.normform import normalize
 from magbottle.polyalg import (
     CanonicalPolynomial,
+    lie_transform,
     substitute_pairs,
     to_records,
 )
@@ -99,6 +100,50 @@ def test_resonant_conservation_improves_with_order(res21_nf8):
     assert var[1] == pytest.approx(4.0384e-3, rel=5e-2)
     assert var[3] == pytest.approx(9.3095e-5, rel=5e-2)
     assert var[5] == pytest.approx(2.6177e-6, rel=5e-2)
+
+
+@pytest.mark.parametrize(
+    "resonant, r", [(False, 5), (True, 6)], ids=["nonres", "res21"]
+)
+def test_integral_does_not_depend_on_the_truncation_past_its_order(
+    prep, res21_prep, resonant, r
+):
+    # generator chi_s reads only orders <= s, and the pullback reads only
+    # the generators, so truncating the normalization at r loses nothing
+    prepared = res21_prep if resonant else prep
+    tight = back_transform(normalize(prepared, r_max=r, r_trunc=r)).poly
+    wide = back_transform(normalize(prepared, r_max=r, r_trunc=r + 2)).poly
+    *keys, coeffs = tight.term_arrays()
+    *wide_keys, wide_coeffs = wide.term_arrays()
+    assert tight.nterms > 200
+    assert all(np.array_equal(a, b) for a, b in zip(keys, wide_keys))
+    assert coeffs.dtype == wide_coeffs.dtype
+    assert coeffs.tobytes() == wide_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("resonant", [False, True], ids=["nonres-r5", "res21-r6"])
+def test_pullback_matches_the_generic_bracket_chain(
+    nf5, res21_nf8, monkeypatch, resonant
+):
+    # the reference forms both products of every pair, as lie_transform
+    # does without complex_pairs
+    state = truncated_view(res21_nf8, 6) if resonant else nf5
+    got = back_transform(state).poly
+    calls = []
+
+    def generic(f, chi, inverse, complex_pairs):
+        calls.append(complex_pairs)
+        return lie_transform(f, chi, inverse=inverse, complex_pairs=())
+
+    monkeypatch.setattr(invariants, "lie_transform", generic)
+    want = back_transform(state).poly
+    assert calls == [state.prepared.complex_pairs] * state.r
+    assert calls[0] == ((0, 1) if resonant else (0,))
+    *keys, _ = got.term_arrays()
+    *want_keys, _ = want.term_arrays()
+    assert all(np.array_equal(a, b) for a, b in zip(keys, want_keys))
+    # a bound fixed from float64: 1e-15 of the largest coefficient
+    assert coefficient_distance(got, want) <= 1e-15 * want.max_abs()
 
 
 def test_back_transform_rejects_capped_state(prep):
